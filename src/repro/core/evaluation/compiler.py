@@ -752,8 +752,8 @@ class CompiledExecutor:
                 params={key: expr(self, env) for key, expr in params}))
         strategy = cobj.strategy()
         # Strategies may provide a compiled-pipeline fast path (the pipeline
-        # template's steady-state extrapolation); it must agree with the
-        # exact evaluation to <= 1e-12 relative.
+        # template's scalar twin of its vectorised evaluation); it must be
+        # bit-identical to ``evaluate``.
         evaluate = getattr(strategy, "evaluate_fast", None) or strategy.evaluate
         return evaluate(env, spec, self.hardware)
 

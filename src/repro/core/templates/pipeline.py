@@ -20,7 +20,9 @@ finish times obey the recurrence
 
 where ``arrival`` times are the upstream neighbours' post times plus the
 one-way delivery cost fitted from the ping-pong benchmark.  The recurrence
-is evaluated with numpy over anti-diagonals of the processor array, so the
+is evaluated over anti-diagonals of the processor array — with numpy
+(:meth:`PipelineStrategy.evaluate`) or as its bit-identical scalar twin
+(:meth:`PipelineStrategy.evaluate_fast`, the compiled path) — so the
 8000-processor speculative study of Section 6 evaluates in seconds.
 """
 
@@ -85,10 +87,6 @@ class PipelineStrategy:
         total = float(finish.max())
         return self._result(total, costs, npe_i, npe_j, 8 * blocks_per_octant)
 
-    #: Below this rank count the scalar recurrence beats the vectorised one
-    #: (numpy's per-operation overhead dominates on short anti-diagonals).
-    SCALAR_RANK_LIMIT = 4096
-
     def evaluate_fast(self, variables: Mapping[str, float | str], stage: StageSpec,
                       hardware: HardwareModel) -> TemplateResult:
         """Scalar evaluation of the wavefront (the compiled pipeline's path).
@@ -97,14 +95,11 @@ class PipelineStrategy:
         :meth:`evaluate`, in the same order, so the result is bit-identical —
         but the anti-diagonal recurrence runs as straight-line Python over
         the small per-rank state instead of numpy calls over tiny arrays,
-        which is ~10x faster below a few thousand ranks.  Above
-        :data:`SCALAR_RANK_LIMIT` the vectorised evaluation wins and is used
-        unchanged.
+        which is faster at every rank count the studies use (8000 ranks
+        included).
         """
         npe_i = require_int(variables, "npe_i", minimum=1)
         npe_j = require_int(variables, "npe_j", minimum=1)
-        if npe_i * npe_j > self.SCALAR_RANK_LIMIT:
-            return self.evaluate(variables, stage, hardware)
         n_k_blocks = require_int(variables, "n_k_blocks", minimum=1)
         n_angle_blocks = require_int(variables, "n_angle_blocks", minimum=1)
 

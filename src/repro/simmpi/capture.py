@@ -12,9 +12,9 @@ program simply stops).  And the sweep's stream is eventually periodic —
 the steady detector (:func:`repro.simmpi.steady.detect_period`) proves
 after the fact the repetition a full capture spells out event by event.
 
-This module exploits that structure *during* capture: given a short
-capture that already exhibits warm-up + a few whole periods + drain,
-:func:`tile_trace` synthesizes the full :class:`~repro.simmpi.trace.
+This module exploits that structure *during* capture: given one short
+probe capture that already exhibits warm-up + a few whole periods +
+drain, :func:`tile_trace` synthesizes the full :class:`~repro.simmpi.trace.
 CompiledTrace` by tiling the last recorded period's event columns —
 vectorised numpy concatenation, with send-slot indices advanced by the
 per-period send count on each tile (the advance the detector verified) —
@@ -24,12 +24,13 @@ The contract is the steady tier's: **bit-identical to full capture or
 refuse loudly**.  Every structural precondition is re-checked on the
 synthesized table (slot sequentiality, matches referencing earlier
 sends, integer byte sizes within the float53 exact range), and callers
-(:meth:`~repro.sweep3d.driver.SimulationPlan.compile_trace`) re-run the
-period detector over the tiled result, anchor the iteration count on
-the per-period collective count, and cross-check the synthesized return
-values against the recorded prefix — any failure raises
-:class:`~repro.errors.TraceError` and the caller falls back to the full
-recorder.
+(:meth:`~repro.sweep3d.driver.SimulationPlan.compile_trace`) re-split
+the tiled result with the steady tier's own warm-up definition
+(:func:`~repro.simmpi.steady.period_split`: signature recurrence and
+send-slot advance), anchor the iteration count on the per-period
+collective count, and cross-check the synthesized return values against
+the recorded prefix — any failure raises :class:`~repro.errors.
+TraceError` and the caller falls back to the full recorder.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import TraceError
-from repro.simmpi.steady import PeriodInfo, _signatures
+from repro.simmpi.steady import PeriodInfo
 from repro.simmpi.trace import (
     EV_COLLECTIVE,
     EV_MATCH,
@@ -100,37 +101,6 @@ def collectives_per_period(trace: CompiledTrace, info: PeriodInfo) -> int:
     return int(np.count_nonzero(segment == EV_COLLECTIVE))
 
 
-def verify_extension(trace: CompiledTrace, info: PeriodInfo,
-                     expected_repeats: int) -> str:
-    """Check that ``trace`` repeats ``info``'s period ``expected_repeats`` times.
-
-    The targeted equivalent of re-running the period detector over a
-    tiled trace: with the period already known there is no candidate
-    search, so the check is one vectorised signature pass — event
-    signatures must repeat at exactly ``info.period`` from exactly
-    ``info.warmup`` on, leaving ``info.drain`` trailing events.  (The
-    detector's remaining condition, send-slot advance, is re-checked
-    structurally by :func:`tile_trace`'s slot-sequentiality assertions.)
-    Returns ``""`` when the structure holds, else the failure reason.
-    """
-    sig = _signatures(trace)
-    n = len(sig)
-    period = info.period
-    if period < 1 or n <= period:
-        return "tiled trace holds less than one period"
-    mismatch = np.flatnonzero(sig[period:] != sig[:-period])
-    warmup = int(mismatch[-1]) + 1 if len(mismatch) else 0
-    if warmup != info.warmup:
-        return f"warm-up moved ({info.warmup} -> {warmup} event(s))"
-    repeats = (n - warmup) // period
-    if repeats != expected_repeats:
-        return f"period repeats {repeats} time(s), expected {expected_repeats}"
-    if (n - warmup) - repeats * period != info.drain:
-        return (f"drain moved ({info.drain} -> "
-                f"{(n - warmup) - repeats * period} event(s))")
-    return ""
-
-
 def _check_exact_bytes(trace: CompiledTrace, tiles: int,
                        d_bytes_sent: np.ndarray, d_bytes_recv: np.ndarray,
                        d_traffic_bytes: float) -> None:
@@ -168,11 +138,14 @@ def tile_trace(short: CompiledTrace, info: PeriodInfo, tiles: int,
     """Synthesize the trace of ``tiles`` extra periods appended to ``short``.
 
     ``short`` must be periodic per ``info`` (its own
-    :func:`~repro.simmpi.steady.detect_period` outcome).  The result has
-    ``info.repeats + tiles`` whole periods between the same warm-up and
-    drain, with send-slot indices advanced by ``info.sends_per_period``
-    per tile, statistics scaled exactly, and ``return_values`` attached
-    (the caller synthesizes and cross-checks them).  Raises
+    :func:`~repro.simmpi.steady.detect_period` outcome, whose warm-up
+    ends only once both signatures and send slots repeat).  The result
+    has ``info.repeats + tiles`` whole periods between the same warm-up
+    and drain, with send-slot indices advanced by
+    ``info.sends_per_period`` per tile, statistics scaled exactly, and
+    ``return_values`` attached (the caller synthesizes and cross-checks
+    them, and re-splits the result with
+    :func:`~repro.simmpi.steady.period_split`).  Raises
     :class:`~repro.errors.TraceError` — never returns a wrong trace —
     when any structural precondition fails.
     """
@@ -224,8 +197,8 @@ def tile_trace(short: CompiledTrace, info: PeriodInfo, tiles: int,
             [column[:boundary], np.tile(column[seg], tiles), column[boundary:]])
 
     # Slot column: send/match rows advance by `sends` per tile; the drain
-    # (already verified by the detector's slot-advance check to repeat
-    # the period's slot pattern) shifts by the full `tiles * sends`.
+    # (past the warm-up, so its slots advance like the period's) shifts
+    # by the full `tiles * sends`.
     seg_slot = short.event_slot[seg].astype(np.int64)
     seg_shift = (send_mask | match_mask).astype(np.int64)
     offsets = (np.arange(1, tiles + 1, dtype=np.int64) * sends)[:, None]

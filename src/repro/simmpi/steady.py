@@ -137,28 +137,69 @@ class _SteadyAnalysis:
 
 
 def _signatures(trace: "CompiledTrace") -> np.ndarray:
-    """Int64 content signature per event (pattern + exact durations)."""
+    """Int64 content signature per event (pattern + exact durations).
+
+    Integer columns are mixed in place: ``^=`` sign-extends them to
+    int64 exactly as an ``astype`` copy would.
+    """
     h = trace.event_kind.astype(np.int64)
-    b_col = trace.event_rank.astype(np.int64)    # rank / receiver
-    aux_bits = np.ascontiguousarray(trace.event_aux).view(np.int64)
     eager_flag = np.zeros(len(h), dtype=np.int64)
     slot_mask = (trace.event_kind == EV_SEND) | (trace.event_kind == EV_MATCH)
     if slot_mask.any():
         eager = trace._send_eager_arr.astype(np.int64)
-        slots = trace.event_slot[slot_mask].astype(np.int64)
-        eager_flag[slot_mask] = 1 + eager[slots]
+        eager_flag[slot_mask] = 1 + eager[trace.event_slot[slot_mask]]
     mult = np.int64(1000003)
-    for col in (b_col,
-                trace.event_peer.astype(np.int64),
-                trace.event_tag.astype(np.int64),
+    for col in (trace.event_rank,            # rank / receiver
+                trace.event_peer,
+                trace.event_tag,
                 np.ascontiguousarray(trace.event_nbytes).view(np.int64),
                 np.ascontiguousarray(trace._base).view(np.int64),
-                aux_bits,
-                trace._noise_kind.astype(np.int64),
+                np.ascontiguousarray(trace.event_aux).view(np.int64),
+                trace._noise_kind,
                 eager_flag):
-        h = h * mult
+        h *= mult
         h ^= col
     return h
+
+
+def period_split(trace: "CompiledTrace", period: int,
+                 sig: np.ndarray | None = None) -> PeriodInfo:
+    """Split ``trace`` as warm-up + whole periods of length ``period`` + drain.
+
+    The one definition of a trace's warm-up, shared by the steady tier
+    and periodic capture: the warm-up ends after the last event ``i``
+    that breaks either (a) signature recurrence, ``sig[i + P] ==
+    sig[i]``, or (b) the send-slot advance, ``slot[i + P] == slot[i] +
+    M`` for send/match events, ``M`` being the per-period send count.
+    Past the warm-up both hold for every event, so ``M`` is the same for
+    every window of ``P`` events there.  ``sig`` may pass precomputed
+    :func:`_signatures`.  The split is periodic iff at least one whole
+    period follows the warm-up.
+    """
+    n = trace.n_events
+    if period < 1 or period >= n:
+        return PeriodInfo(periodic=False,
+                          reason=f"period {period} does not fit {n} event(s)")
+    if sig is None:
+        sig = _signatures(trace)
+    mismatch = np.flatnonzero(sig[period:] != sig[:-period])
+    warmup = int(mismatch[-1]) + 1 if len(mismatch) else 0
+    kind = trace.event_kind
+    sends = int(np.count_nonzero(kind[warmup:warmup + period] == EV_SEND))
+    slot = trace.event_slot[warmup:].astype(np.int64)
+    window = kind[warmup:n - period]
+    is_slot = (window == EV_SEND) | (window == EV_MATCH)
+    broken = np.flatnonzero(is_slot & (slot[period:] != slot[:-period] + sends))
+    if len(broken):
+        warmup += int(broken[-1]) + 1
+    repeats = (n - warmup) // period
+    if repeats < 1:
+        return PeriodInfo(periodic=False,
+                          reason=f"no whole period of {period} event(s) "
+                                 "after the warm-up")
+    return PeriodInfo(periodic=True, warmup=warmup, period=period,
+                      repeats=repeats, drain=(n - warmup) - repeats * period,
+                      sends_per_period=sends)
 
 
 def _detect_period(trace: "CompiledTrace",
@@ -166,11 +207,8 @@ def _detect_period(trace: "CompiledTrace",
     """Find the repeating suffix of the event stream, if any.
 
     Candidate periods are the recurrence distances of the *last* event's
-    signature; the smallest candidate whose periodicity check passes
-    wins.  A candidate must satisfy (a) ``sig[i + P] == sig[i]`` for
-    every ``i`` in the periodic region, (b) send-slot indices advancing
-    by exactly the per-period send count ``M``, and (c) at least
-    ``min_repeats`` whole repetitions.
+    signature; each is split by :func:`period_split`, and the smallest
+    candidate with at least ``min_repeats`` whole repetitions wins.
     """
     n = trace.n_events
     if n == 0:
@@ -181,26 +219,10 @@ def _detect_period(trace: "CompiledTrace",
         return PeriodInfo(periodic=False,
                           reason="final event's signature never recurs")
     diffs = occ[-1] - occ[-1 - np.arange(1, min(_MAX_CANDIDATES + 1, len(occ)))]
-    kind_col = trace.event_kind
-    b_col = trace.event_slot.astype(np.int64)
-    slot_mask = (kind_col == EV_SEND) | (kind_col == EV_MATCH)
     for period in sorted(set(int(d) for d in diffs)):
-        if period < 1 or period >= n:
-            continue
-        mismatch = np.flatnonzero(sig[period:] != sig[:-period])
-        warmup = int(mismatch[-1]) + 1 if len(mismatch) else 0
-        repeats = (n - warmup) // period
-        if repeats < min_repeats:
-            continue
-        sends = int(np.count_nonzero(
-            kind_col[warmup:warmup + period] == EV_SEND))
-        region = slot_mask[warmup:n - period]
-        if not np.array_equal(b_col[warmup + period:n][region],
-                              b_col[warmup:n - period][region] + sends):
-            continue
-        return PeriodInfo(periodic=True, warmup=warmup, period=period,
-                          repeats=repeats, drain=(n - warmup) - repeats * period,
-                          sends_per_period=sends)
+        info = period_split(trace, period, sig)
+        if info.periodic and info.repeats >= min_repeats:
+            return info
     return PeriodInfo(
         periodic=False,
         reason=f"no candidate period with >= {min_repeats} repetitions")

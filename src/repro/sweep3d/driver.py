@@ -38,14 +38,15 @@ import numpy as np
 
 from repro.errors import DecompositionError, TraceError
 from repro.profiling.phases import PhaseTimer
-from repro.simmpi.capture import (
-    CaptureInfo,
-    collectives_per_period,
-    tile_trace,
-    verify_extension,
-)
+from repro.simmpi.capture import CaptureInfo, collectives_per_period, tile_trace
 from repro.simmpi.engine import ClusterEngine, SimulationResult
-from repro.simmpi.steady import MIN_REPEATS, SteadyStateError, detect_period, steady_replay
+from repro.simmpi.steady import (
+    MIN_REPEATS,
+    SteadyStateError,
+    detect_period,
+    period_split,
+    steady_replay,
+)
 from repro.simmpi.trace import (
     EV_COLLECTIVE,
     BatchReplayResult,
@@ -322,11 +323,11 @@ class SimulationPlan:
     def nranks(self) -> int:
         return self.decomp.nranks
 
-    #: Shortest candidate capture: enough iterations for the detector to
-    #: see ``MIN_REPEATS`` whole periods (the sweep's period is one
-    #: iteration and its warm-up a fraction of one, so one extra
-    #: iteration of slack suffices; if not, the probe doubles).
-    _MIN_SHORT_ITERATIONS = MIN_REPEATS + 1
+    #: The probe capture: enough iterations for the detector to see
+    #: ``MIN_REPEATS`` whole periods (the sweep's period is one iteration
+    #: and its warm-up a fraction of one, so one extra iteration of slack
+    #: suffices).
+    _PROBE_ITERATIONS = MIN_REPEATS + 1
 
     def trace_fingerprint(self) -> tuple:
         """A value identity of this plan's *pattern*, keying the trace cache.
@@ -439,7 +440,7 @@ class SimulationPlan:
         is bit-identical to full capture or refused loudly.
         """
         total = self.deck.max_iterations
-        m = self._MIN_SHORT_ITERATIONS
+        m = self._PROBE_ITERATIONS
         if total < 2 * m:
             raise TraceError(
                 f"periodic capture refused: too few iterations ({total}) "
@@ -448,19 +449,13 @@ class SimulationPlan:
             raise TraceError(
                 "periodic capture refused: without convergence collectives "
                 "there is no per-iteration anchor to count tiled iterations")
-        # Grow the probe until the detector accepts (the sweep's period is
-        # one iteration, so the first probe almost always suffices).
-        while True:
-            short_deck = replace(self.deck, max_iterations=m)
-            short = self._record_trace(short_deck)
-            info = detect_period(short)
-            if info.periodic:
-                break
-            m *= 2
-            if 2 * m > total:
-                raise TraceError(
-                    "periodic capture refused: no period detected within "
-                    f"half the run ({info.reason})")
+        short_deck = replace(self.deck, max_iterations=m)
+        short = self._record_trace(short_deck)
+        info = detect_period(short)
+        if not info.periodic:
+            raise TraceError(
+                f"periodic capture refused: the {m}-iteration probe is "
+                f"{info.describe()}")
         # Anchor the iteration count on the per-period collective count:
         # modelled sweeps perform exactly two reductions per iteration.
         per_period = collectives_per_period(short, info)
@@ -489,11 +484,14 @@ class SimulationPlan:
             self.deck, self.decomp, self.config, self.shared)
         full = tile_trace(short, info, tiles, return_values=full_values,
                           topology=self.topology)
-        # Re-verify on the synthesized trace: the same structure must
-        # extend by exactly `tiles` repeats.
-        failure = verify_extension(full, info, info.repeats + tiles)
-        if failure:
-            raise TraceError(f"periodic capture refused: {failure}")
+        # Re-split the synthesized trace: the same warm-up, period and
+        # drain must extend by exactly `tiles` repeats.
+        resplit = period_split(full, info.period)
+        if resplit != replace(info, repeats=info.repeats + tiles):
+            raise TraceError(
+                f"periodic capture refused: the tiled trace splits as "
+                f"{resplit.describe()}, expected {info.repeats + tiles} "
+                "repeats of the probe's split")
         collectives = int(np.count_nonzero(full.event_kind == EV_COLLECTIVE))
         if collectives != 2 * total:
             raise TraceError(
