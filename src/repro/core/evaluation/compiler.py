@@ -752,7 +752,7 @@ class CompiledExecutor:
                 params={key: expr(self, env) for key, expr in params}))
         strategy = cobj.strategy()
         # Strategies may provide a compiled-pipeline fast path (the pipeline
-        # template's scalar twin of its vectorised evaluation); it must be
+        # template's hyperplane evaluation of its wavefront); it must be
         # bit-identical to ``evaluate``.
         evaluate = getattr(strategy, "evaluate_fast", None) or strategy.evaluate
         return evaluate(env, spec, self.hardware)

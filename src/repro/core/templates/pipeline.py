@@ -19,16 +19,20 @@ finish times obey the recurrence
     finish(r, b) = start(r, b) + recv costs + work + send costs
 
 where ``arrival`` times are the upstream neighbours' post times plus the
-one-way delivery cost fitted from the ping-pong benchmark.  The recurrence
-is evaluated over anti-diagonals of the processor array — with numpy
-(:meth:`PipelineStrategy.evaluate`) or as its bit-identical scalar twin
-(:meth:`PipelineStrategy.evaluate_fast`, the compiled path) — so the
-8000-processor speculative study of Section 6 evaluates in seconds.
+one-way delivery cost fitted from the ping-pong benchmark.  Two bit-identical
+numpy evaluations step over each block's anti-diagonals
+(:meth:`PipelineStrategy.evaluate`, the interpreted engine's path) or over the
+hyperplanes ``k + a + b`` of each octant pair's wavefront of blocks
+(:meth:`PipelineStrategy.evaluate_fast`, the compiled path), so the
+8000-processor speculative study of Section 6 evaluates in under a second.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import groupby
 from typing import Mapping
 
 import numpy as np
@@ -55,6 +59,27 @@ class _StageCosts:
     send_ns: float
     delivery_ew: float
     delivery_ns: float
+
+
+@lru_cache(maxsize=64)
+def _layout(npe_i: int, npe_j: int) -> tuple:
+    """An array's ranks in sweep space ``(a, b)``, sorted by ``a + b`` (shared: read only).
+
+    Returns ``(a, b, starts, down_ew, down_ns, ranks)``: ``starts[s]`` is the
+    first position with ``a + b == s``; ``down_*`` are the positions of
+    ``(a + 1, b)`` and ``(a, b + 1)``, or the sentinel ``len(a)`` at the edge;
+    ``ranks[idir, jdir]`` maps positions to machine order ``i * npe_j + j``.
+    """
+    a, b = np.divmod(np.arange(npe_i * npe_j), npe_j)
+    order = np.argsort(a + b, kind="stable")
+    a, b = a[order], b[order]
+    position = np.full((npe_i + 1, npe_j + 1), a.size)
+    position[a, b] = np.arange(a.size)
+    ranks = {(idir, jdir): ((a if idir > 0 else npe_i - 1 - a) * npe_j
+                            + (b if jdir > 0 else npe_j - 1 - b))
+             for idir in (-1, 1) for jdir in (-1, 1)}
+    starts = np.searchsorted(a + b, np.arange(npe_i + npe_j)).tolist()
+    return a, b, starts, position[a + 1, b], position[a, b + 1], ranks
 
 
 class PipelineStrategy:
@@ -89,14 +114,12 @@ class PipelineStrategy:
 
     def evaluate_fast(self, variables: Mapping[str, float | str], stage: StageSpec,
                       hardware: HardwareModel) -> TemplateResult:
-        """Scalar evaluation of the wavefront (the compiled pipeline's path).
+        """Hyperplane evaluation (the compiled pipeline's path).
 
-        Performs **exactly** the same floating point operations as
-        :meth:`evaluate`, in the same order, so the result is bit-identical —
-        but the anti-diagonal recurrence runs as straight-line Python over
-        the small per-rank state instead of numpy calls over tiny arrays,
-        which is faster at every rank count the studies use (8000 ranks
-        included).
+        In an octant pair's wavefront, cell (block k, rank (a, b)) needs only
+        hyperplane ``k + a + b - 1``.  Edge ranks pay 0.0 recv/send costs, read
+        a 0.0 arrival and post to a sentinel; as times are >= 0, ``max(t, 0.0)``
+        and ``t + 0.0`` are ``t``, so each cell repeats :meth:`evaluate` bit for bit.
         """
         npe_i = require_int(variables, "npe_i", minimum=1)
         npe_j = require_int(variables, "npe_j", minimum=1)
@@ -105,63 +128,39 @@ class PipelineStrategy:
 
         costs = self._stage_costs(variables, stage, hardware)
         blocks_per_octant = n_k_blocks * n_angle_blocks
+        a, b, starts, down_ew, down_ns, ranks = _layout(npe_i, npe_j)
+        n, last_sum = a.size, npe_i + npe_j - 2
+        recv_ew = np.where(a > 0, costs.recv_ew, 0.0)
+        recv_ns = np.where(b > 0, costs.recv_ns, 0.0)
+        send_ew = np.where(down_ew < n, costs.send_ew, 0.0)
+        send_ns = np.where(down_ns < n, costs.send_ns, 0.0)
 
-        finish = [[0.0] * npe_j for _ in range(npe_i)]
-        for octant in octant_order():
-            for _ in range(blocks_per_octant):
-                self._advance_block_scalar(finish, costs, npe_i, npe_j,
-                                           octant.idir, octant.jdir)
+        finish = np.zeros(n)      # machine order: rank (i, j) at i * npe_j + j
+        for (idir, jdir), octants in groupby(octant_order(),
+                                             key=lambda o: (o.idir, o.jdir)):
+            blocks = len(list(octants)) * blocks_per_octant
+            state = finish[ranks[idir, jdir]]
+            arrival_ew, arrival_ns = np.zeros(n + 1), np.zeros(n + 1)
+            for plane in range(blocks + last_sum):
+                lo = starts[max(0, plane - blocks + 1)]
+                hi = starts[min(plane, last_sum) + 1]
+                t = np.maximum(state[lo:hi], arrival_ew[lo:hi]) + recv_ew[lo:hi]
+                t = np.maximum(t, arrival_ns[lo:hi]) + recv_ns[lo:hi]
+                t += costs.work
+                arrival_ew[down_ew[lo:hi]] = t + costs.delivery_ew
+                t += send_ew[lo:hi]
+                arrival_ns[down_ns[lo:hi]] = t + costs.delivery_ns
+                t += send_ns[lo:hi]
+                state[lo:hi] = t
+            finish[ranks[idir, jdir]] = state
 
-        total = max(max(row) for row in finish)
+        total = float(finish.max())
         return self._result(total, costs, npe_i, npe_j, 8 * blocks_per_octant)
-
-    @staticmethod
-    def _advance_block_scalar(finish: list, costs: _StageCosts,
-                              npe_i: int, npe_j: int,
-                              idir: int, jdir: int) -> None:
-        """Scalar twin of :meth:`_advance_block` (same ops, same order).
-
-        ``finish`` is a list of per-rank rows in machine orientation; the
-        octant direction is applied through index mapping instead of a
-        flipped view.
-        """
-        work = costs.work
-        recv_ew, recv_ns = costs.recv_ew, costs.recv_ns
-        send_ew, send_ns = costs.send_ew, costs.send_ns
-        delivery_ew, delivery_ns = costs.delivery_ew, costs.delivery_ns
-        last_a, last_b = npe_i - 1, npe_j - 1
-
-        arrival_ew = [[0.0] * npe_j for _ in range(npe_i)]
-        arrival_ns = [[0.0] * npe_j for _ in range(npe_i)]
-
-        for diag in range(npe_i + npe_j - 1):
-            a_lo = diag - last_b if diag > last_b else 0
-            a_hi = last_a if last_a < diag else diag
-            for a in range(a_lo, a_hi + 1):
-                b = diag - a
-                i = a if idir > 0 else last_a - a
-                j = b if jdir > 0 else last_b - b
-                row = finish[i]
-                t = row[j]
-                if a > 0:
-                    arrival = arrival_ew[a][b]
-                    t = (t if t > arrival else arrival) + recv_ew
-                if b > 0:
-                    arrival = arrival_ns[a][b]
-                    t = (t if t > arrival else arrival) + recv_ns
-                t = t + work
-                if a < last_a:
-                    arrival_ew[a + 1][b] = t + delivery_ew
-                    t = t + send_ew
-                if b < last_b:
-                    arrival_ns[a][b + 1] = t + delivery_ns
-                    t = t + send_ns
-                row[j] = t
 
     def _result(self, total: float, costs: _StageCosts,
                 npe_i: int, npe_j: int, total_blocks: int) -> TemplateResult:
         compute = costs.work * total_blocks
-        per_rank_comm = self._interior_stage_overhead(costs, npe_i, npe_j) * total_blocks
+        overhead = self._interior_stage_overhead(costs, npe_i, npe_j)
         return TemplateResult(
             time=total,
             compute_time=compute,
@@ -169,10 +168,8 @@ class PipelineStrategy:
             details={
                 "blocks_per_iteration": float(total_blocks),
                 "work_per_block": costs.work,
-                "stage_overhead": per_rank_comm,
-                "pipeline_fill": max(0.0, total - total_blocks
-                                     * (costs.work + self._interior_stage_overhead(
-                                         costs, npe_i, npe_j))),
+                "stage_overhead": overhead * total_blocks,
+                "pipeline_fill": max(0.0, total - total_blocks * (costs.work + overhead)),
                 "npe_i": float(npe_i),
                 "npe_j": float(npe_j),
             },
@@ -185,6 +182,9 @@ class PipelineStrategy:
         work = stage.cpu_seconds
         if work == 0.0:
             work = require_float(variables, "work", default=0.0, minimum=0.0)
+        for value in [step.number("time", 0.0) for step in stage.by_device("cpu")] + [work]:
+            if not (math.isfinite(value) and value >= 0.0):
+                raise EvaluationError(f"pipeline stage cpu time must be finite and >= 0: {value}")
 
         recv_ew = recv_ns = send_ew = send_ns = 0.0
         delivery_ew = delivery_ns = 0.0

@@ -272,6 +272,42 @@ class TestHardwareStaleness:
         assert engine.predict(variables).total_time < slow
 
 
+class TestPipelineStageCostValidation:
+    """Both engines refuse a negative or non-finite pipeline stage cost."""
+
+    MODEL = """
+    application app {
+        include sweep;
+        var w = 0.001;
+        link sweep { w = w; }
+        proc init { call sweep; }
+    }
+    subtask sweep {
+        partmp pipeline;
+        var w = 0.001;
+        link pipeline { work = w; }
+    }
+    partmp pipeline {
+        var npe_i = 2, npe_j = 3, n_k_blocks = 2, n_angle_blocks = 1, work = 0;
+        option { strategy = "pipeline"; }
+        proc stage {
+            step mpirecv { direction = "ew"; bytes = 8; }
+            step cpu { time = work; }
+            step mpisend { direction = "ns"; bytes = 8; }
+        }
+    }
+    """
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+    def test_bad_stage_cpu_time_rejected(self, synthetic_hardware, compiled):
+        engine = EvaluationEngine(parse_psl(self.MODEL), synthetic_hardware,
+                                  compiled=compiled)
+        assert engine.predict({}).total_time > 0
+        for bad in (-1e-3, float("nan"), float("inf")):
+            with pytest.raises(EvaluationError, match=">= 0"):
+                engine.predict({"w": bad})
+
+
 class TestSweep3DModelPredictions:
     def test_prediction_structure(self, synthetic_engine, validation_deck_2x2):
         workload = SweepWorkload(validation_deck_2x2, 2, 2)

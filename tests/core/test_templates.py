@@ -185,3 +185,28 @@ class TestPipelineStrategy:
         assert result.details["blocks_per_iteration"] == 80
         assert result.details["work_per_block"] == pytest.approx(1e-3)
         assert result.details["npe_i"] == 2
+
+    @pytest.mark.parametrize("method", ["evaluate", "evaluate_fast", "reference_evaluate"])
+    def test_bad_stage_costs_rejected(self, synthetic_hardware, method):
+        evaluate = getattr(PipelineStrategy(), method)
+        for bad in (-1e-3, float("nan"), float("inf")):
+            with pytest.raises(EvaluationError, match=">= 0"):
+                evaluate(pipeline_variables(), pipeline_stage(work=bad), synthetic_hardware)
+            with pytest.raises(EvaluationError, match=">= 0"):
+                evaluate(pipeline_variables(work=bad), pipeline_stage(work=0.0),
+                         synthetic_hardware)
+        # A negative cpu step is refused even when the steps sum to a valid time.
+        stage = pipeline_stage(work=2e-3)
+        stage.steps.append(StageStep("cpu", {"time": -1e-3}))
+        with pytest.raises(EvaluationError, match=">= 0"):
+            evaluate(pipeline_variables(), stage, synthetic_hardware)
+
+    def test_hyperplane_matches_anti_diagonal_at_figure9_shape(self, synthetic_hardware):
+        """figure9's largest call: 80 x 100 ranks, 20 k-blocks x 2 angle blocks."""
+        variables = pipeline_variables(npe_i=80, npe_j=100, kb=20, ab=2, work=2.4e-3)
+        variables.update(ew_bytes=6000.0, ns_bytes=4800.0)
+        stage = pipeline_stage(ew_bytes=6000.0, ns_bytes=4800.0, work=2.4e-3)
+        strategy = PipelineStrategy()
+        fast = strategy.evaluate_fast(variables, stage, synthetic_hardware)
+        assert fast == strategy.evaluate(variables, stage, synthetic_hardware)
+        assert fast.details["blocks_per_iteration"] == 8 * 20 * 2

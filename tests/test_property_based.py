@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import units
@@ -249,6 +249,42 @@ class TestPipelineProperties:
         fast = strategy.evaluate(variables, stage, synthetic_hardware).time
         slow = strategy.reference_evaluate(variables, stage, synthetic_hardware).time
         assert fast == pytest.approx(slow, rel=1e-10)
+
+    @given(npe_i=st.integers(min_value=1, max_value=7),
+           npe_j=st.integers(min_value=1, max_value=7),
+           kb=st.integers(min_value=1, max_value=3),
+           ab=st.integers(min_value=1, max_value=2),
+           work=st.just(0.0) | st.floats(min_value=1e-7, max_value=1e-2),
+           ew_bytes=st.just(0.0) | st.floats(min_value=1.0, max_value=1e5),
+           ns_bytes=st.just(0.0) | st.floats(min_value=1.0, max_value=1e5),
+           steps=st.sampled_from(["both", "recv", "send"]))
+    @example(npe_i=1, npe_j=1, kb=1, ab=1, work=1e-4, ew_bytes=0.0, ns_bytes=0.0,
+             steps="both")
+    @example(npe_i=1, npe_j=6, kb=1, ab=1, work=1e-4, ew_bytes=800.0, ns_bytes=0.0,
+             steps="recv")
+    @example(npe_i=5, npe_j=1, kb=2, ab=1, work=1e-4, ew_bytes=0.0, ns_bytes=800.0,
+             steps="send")
+    @example(npe_i=4, npe_j=3, kb=1, ab=1, work=3e-4, ew_bytes=5e4, ns_bytes=2e3,
+             steps="both")
+    @settings(max_examples=60, deadline=None)
+    def test_hyperplane_equals_anti_diagonal(self, synthetic_hardware, npe_i, npe_j, kb, ab,
+                                             work, ew_bytes, ns_bytes, steps):
+        """``evaluate_fast`` (the compiled path) is bit-identical to ``evaluate``,
+        details included, and to the per-rank reference loop."""
+        variables = {"npe_i": npe_i, "npe_j": npe_j, "n_k_blocks": kb,
+                     "n_angle_blocks": ab, "ew_bytes": ew_bytes, "ns_bytes": ns_bytes,
+                     "work": work}
+        recv = [StageStep("mpirecv", {"direction": "ew"}),
+                StageStep("mpirecv", {"direction": "ns"})]
+        send = [StageStep("mpisend", {"direction": "ew"}),
+                StageStep("mpisend", {"direction": "ns"})]
+        stage = StageSpec(steps=(recv if steps != "send" else []) + [StageStep("cpu", {})]
+                          + (send if steps != "recv" else []))
+        strategy = PipelineStrategy()
+        fast = strategy.evaluate_fast(variables, stage, synthetic_hardware)
+        assert fast == strategy.evaluate(variables, stage, synthetic_hardware)
+        assert fast.time == strategy.reference_evaluate(variables, stage,
+                                                        synthetic_hardware).time
 
     @given(npe_i=st.integers(min_value=1, max_value=8),
            npe_j=st.integers(min_value=1, max_value=8))
