@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from conftest import run_once, save_report
 
-from repro.experiments.ablation import run_opcode_ablation
 from repro.experiments.report import format_ablation
+from repro.experiments.study import build_spec, run_study
 
 
 def test_opcode_vs_coarse_benchmarking(benchmark, report_dir):
-    result = run_once(benchmark, run_opcode_ablation, max_iterations=12)
+    result = run_once(benchmark, run_study,
+                      build_spec("ablation", max_iterations=12)).payload
     report = format_ablation(result)
     print("\n" + report)
     save_report(report_dir, "ablation_opcode", report)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from conftest import run_once, save_report
 
-from repro.experiments.figures import figure8
 from repro.experiments.report import format_figure
+from repro.experiments.study import build_spec, run_study
 
 
 def test_figure8_full_reproduction(benchmark, report_dir):
-    result = run_once(benchmark, figure8)
+    result = run_once(benchmark, run_study, build_spec("figure8")).payload
     report = format_figure(result)
     print("\n" + report)
     save_report(report_dir, "figure8", report)

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from conftest import run_once, save_report
 
-from repro.experiments.agreement import run_model_agreement
 from repro.experiments.report import format_agreement
+from repro.experiments.study import build_spec, run_study
 
 
 def test_pace_vs_loggp_vs_hoisie(benchmark, report_dir):
-    result = run_once(benchmark, run_model_agreement,
-                      processor_counts=[16, 256, 1024, 4096, 8000])
+    result = run_once(benchmark, run_study,
+                      build_spec("agreement",
+                                 processor_counts=[16, 256, 1024, 4096, 8000])).payload
     report = format_agreement(result)
     print("\n" + report)
     save_report(report_dir, "model_agreement", report)

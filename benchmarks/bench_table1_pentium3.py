@@ -13,12 +13,13 @@ from __future__ import annotations
 from conftest import run_once, save_report
 
 from repro.experiments.report import format_validation_table
-from repro.experiments.tables import run_table
+from repro.experiments.study import build_spec, run_study
 
 
 def test_table1_full_reproduction(benchmark, report_dir):
-    result = run_once(benchmark, run_table, "table1", simulate_measurement=True,
-                      max_iterations=12)
+    result = run_once(benchmark, run_study,
+                      build_spec("table1", simulate_measurement=True,
+                                 max_iterations=12)).payload
     report = format_validation_table(result)
     print("\n" + report)
     save_report(report_dir, "table1", report)
@@ -43,8 +44,9 @@ def test_table1_full_reproduction(benchmark, report_dir):
 def test_table1_prediction_only(benchmark, report_dir):
     """Prediction-only variant (no simulated measurement): the cost of using
     the model the way a procurement study would, for all 24 rows."""
-    result = run_once(benchmark, run_table, "table1", simulate_measurement=False,
-                      max_iterations=12)
+    result = run_once(benchmark, run_study,
+                      build_spec("table1", simulate_measurement=False,
+                                 max_iterations=12)).payload
     report = format_validation_table(result)
     save_report(report_dir, "table1_prediction_only", report)
     benchmark.extra_info["rows"] = len(result.rows)

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments.figures import FIGURE8_STUDY, FIGURE9_STUDY, run_speculative_figure
+import repro.api as api
+from repro.experiments.paper_data import FIGURE8_STUDY, FIGURE9_STUDY
 from repro.experiments.report import format_figure
 
 #: Realistic multigroup workload factors quoted in Section 6 of the paper.
@@ -41,7 +42,7 @@ def main() -> None:
 
     study = FIGURE8_STUDY if args.figure == "figure8" else FIGURE9_STUDY
     counts = [count for count in study.processor_counts if count <= args.max_processors]
-    result = run_speculative_figure(study, processor_counts=counts)
+    result = api.run_study(api.build_spec(args.figure, processor_counts=counts)).payload
     print(format_figure(result))
 
     actual = result.actual

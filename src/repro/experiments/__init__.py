@@ -90,15 +90,14 @@ an :class:`~repro.experiments.remotestore.ArtifactStore` — and the
 merged rows stay bit-identical to the static plan and the unsharded
 run, whatever the kill schedule.
 
-The legacy per-experiment entrypoints (``run_table``, ``figure8``,
-``run_blocking_study``, ...) survive as thin shims that build specs
-internally and run them through the same pipeline, bit-identically.  The
-published numbers of the paper are transcribed in
-:mod:`repro.experiments.paper_data` so every report can show paper-vs-
-reproduced values side by side.  The CLI front end is
+Every study runs through that pipeline and only through it:
+``run_study(build_spec("table2", max_pes=16)).payload`` is the result
+object the report formatters consume.  The published numbers of the
+paper are transcribed in :mod:`repro.experiments.paper_data` so every
+report can show paper-vs-reproduced values side by side.  The CLI front end is
 ``repro-sweep3d run <study|spec-file> [--all] [--smoke] [--shard I/N]
 [--out DIR]`` (plus ``studies``, ``shard plan``, ``merge``,
-``cache {stats,prune}`` and the ad-hoc ``sweep`` grids); the stable
+``cache {stats,prune}`` and the ad-hoc ``simulate`` grids); the stable
 import surface is :mod:`repro.api`.
 """
 
@@ -126,17 +125,11 @@ from repro.experiments.backends import (
     simulation_grid,
 )
 from repro.experiments.diskcache import DiskCacheStats, PruneResult, SweepDiskCache
-from repro.experiments.tables import run_table, table1, table2, table3
-from repro.experiments.figures import FigureResult, figure8, figure9, run_speculative_figure
-from repro.experiments.ablation import AblationResult, run_opcode_ablation
-from repro.experiments.agreement import AgreementResult, run_model_agreement
-from repro.experiments.blocking import BlockingStudyResult, run_blocking_study
-from repro.experiments.scaling import (
-    ScalingAnalysis,
-    analyze_figure,
-    analyze_series,
-    run_scaling_study,
-)
+from repro.experiments.figures import FigureResult
+from repro.experiments.ablation import AblationResult
+from repro.experiments.agreement import AgreementResult
+from repro.experiments.blocking import BlockingStudyResult
+from repro.experiments.scaling import ScalingAnalysis, analyze_figure, analyze_series
 from repro.experiments.sweep import Scenario, ScenarioSweep, SweepOutcome, SweepRunner
 from repro.experiments.study import (
     StudyContext,
@@ -214,24 +207,13 @@ __all__ = [
     "DiskCacheStats",
     "PruneResult",
     "SweepDiskCache",
-    "run_table",
-    "table1",
-    "table2",
-    "table3",
     "FigureResult",
-    "figure8",
-    "figure9",
-    "run_speculative_figure",
     "AblationResult",
-    "run_opcode_ablation",
     "AgreementResult",
-    "run_model_agreement",
     "BlockingStudyResult",
-    "run_blocking_study",
     "ScalingAnalysis",
     "analyze_figure",
     "analyze_series",
-    "run_scaling_study",
     "Scenario",
     "ScenarioSweep",
     "SweepOutcome",

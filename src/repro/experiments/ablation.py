@@ -103,30 +103,3 @@ def _run_opcode_ablation_impl(machine: Machine | None = None,
         coarse_prediction=coarse,
         legacy_prediction=legacy,
     )
-
-
-def run_opcode_ablation(machine: Machine | str | None = None,
-                        table_name: str = "table2",
-                        row_index: int = 0,
-                        max_iterations: int = 12,
-                        simulate_measurement: bool = True) -> AblationResult:
-    """Run the legacy-vs-coarse ablation for one validation-table row.
-
-    Defaults to the first row of Table 2 — the Opteron cluster singled out
-    by the paper's 50 %-error remark.
-
-    Deprecated shim over the Study API (the ``"ablation"`` study): a
-    machine given by preset name (or defaulted) routes through a spec; an
-    explicit :class:`Machine` instance runs directly, bit-identically.
-    """
-    if machine is None or isinstance(machine, str):
-        from repro.experiments.study import build_spec, run_study
-        spec = build_spec("ablation", machine=machine,
-                          table=table_name, row_index=row_index,
-                          max_iterations=max_iterations,
-                          simulate_measurement=simulate_measurement)
-        return run_study(spec).payload
-    return _run_opcode_ablation_impl(machine=machine, table_name=table_name,
-                                     row_index=row_index,
-                                     max_iterations=max_iterations,
-                                     simulate_measurement=simulate_measurement)

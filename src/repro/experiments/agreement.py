@@ -90,30 +90,3 @@ def _run_model_agreement_impl(study: SpeculativeStudy = FIGURE8_STUDY,
             compare_models(workload, hardware,
                            pace=outcome.result.total_time))
     return result
-
-
-def run_model_agreement(study: SpeculativeStudy = FIGURE8_STUDY,
-                        machine: Machine | str | None = None,
-                        processor_counts: list[int] | None = None,
-                        workers: int = 1) -> AgreementResult:
-    """Compare the three predictors on a speculative study's configurations.
-
-    Deprecated shim over the Study API (the ``"agreement"`` study): named
-    speculative studies with a machine given by preset name (or
-    defaulted) route through a spec; explicit :class:`Machine` instances
-    or unregistered studies run directly, bit-identically.
-    """
-    from repro.experiments.study import SPECULATIVE_STUDIES, build_spec, run_study
-    if SPECULATIVE_STUDIES.get(study.name) == study and \
-            (machine is None or isinstance(machine, str)):
-        params = {"figure": study.name}
-        if processor_counts is not None:
-            params["processor_counts"] = tuple(processor_counts)
-        spec = build_spec("agreement", machine=machine, workers=workers,
-                          **params)
-        return run_study(spec).payload
-    if isinstance(machine, str):
-        machine = get_machine(machine)
-    return _run_model_agreement_impl(study=study, machine=machine,
-                                     processor_counts=processor_counts,
-                                     workers=workers)

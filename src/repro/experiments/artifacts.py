@@ -176,7 +176,7 @@ def read_manifest(out_dir: str | Path) -> dict:
 def load_study_results(out_dir: str | Path) -> list[StudyResult]:
     """Rebuild row-level :class:`StudyResult` objects from an artifact dir.
 
-    The legacy payload objects are not persisted, so the results carry
+    The payload objects are not persisted, so the results carry
     ``payload=None`` — everything the merge layer needs (spec, rows,
     machine fingerprint, accounting, shard bookkeeping) is recovered.
     Each entry's spec is re-canonicalised and its hash verified against

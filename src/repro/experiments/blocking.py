@@ -132,7 +132,15 @@ def _run_blocking_impl(machine: Machine | None = None,
                        max_iterations: int = 12,
                        workers: int = 1,
                        context=None) -> BlockingStudyResult:
-    """The direct implementation behind the ``blocking`` study."""
+    """The direct implementation behind the ``blocking`` study.
+
+    The default configuration is the paper's 20-million-cell speculative
+    problem (5x5x100 cells per processor) on a 400-processor slice of the
+    hypothetical machine: with so little work per block, the latency-vs-
+    pipelining trade-off has a genuine interior optimum.  On the
+    validation problem (50^3 cells per processor) ever finer blocking
+    keeps winning.
+    """
     machine = machine or get_machine("hypothetical-opteron-myrinet")
     nx, ny, nz = cells_per_processor
     base_deck = Sweep3DInput(it=nx * px, jt=ny * py, kt=nz, mk=10, mmi=3,
@@ -162,44 +170,6 @@ def _run_blocking_impl(machine: Machine | None = None,
             blocks_per_iteration=blocks,
             messages_per_processor=messages))
     return result
-
-
-def run_blocking_study(machine: Machine | str | None = None,
-                       px: int = 20,
-                       py: int = 20,
-                       cells_per_processor: tuple[int, int, int] = (5, 5, 100),
-                       mk_values: Sequence[int] = DEFAULT_MK_VALUES,
-                       mmi_values: Sequence[int] = DEFAULT_MMI_VALUES,
-                       max_iterations: int = 12,
-                       workers: int = 1) -> BlockingStudyResult:
-    """Sweep the blocking factors for one machine/array configuration.
-
-    The default configuration is the paper's 20-million-cell speculative
-    problem (5x5x100 cells per processor) on a 400-processor slice of the
-    hypothetical machine: with so little work per block, the latency-vs-
-    pipelining trade-off has a genuine interior optimum.  The validation
-    problem (50^3 cells per processor) is so compute-heavy that ever finer
-    blocking keeps winning — which the study also demonstrates when run
-    with ``cells_per_processor=(50, 50, 50)``.
-
-    Deprecated shim over the Study API (the ``"blocking"`` study): when
-    the machine is given by preset name (or defaulted) the call is folded
-    into a :class:`~repro.experiments.study.StudySpec`; an explicit
-    :class:`Machine` instance runs directly, bit-identically.
-    """
-    if machine is None or isinstance(machine, str):
-        from repro.experiments.study import build_spec, run_study
-        spec = build_spec("blocking", machine=machine, workers=workers,
-                          px=px, py=py,
-                          cells_per_processor=cells_per_processor,
-                          mk_values=tuple(mk_values),
-                          mmi_values=tuple(mmi_values),
-                          max_iterations=max_iterations)
-        return run_study(spec).payload
-    return _run_blocking_impl(machine=machine, px=px, py=py,
-                              cells_per_processor=cells_per_processor,
-                              mk_values=mk_values, mmi_values=mmi_values,
-                              max_iterations=max_iterations, workers=workers)
 
 
 def paper_default_deck(px: int, py: int) -> Sweep3DInput:

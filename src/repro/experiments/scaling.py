@@ -131,35 +131,3 @@ def _run_scaling_impl(machine=None,
                                                 [rate_factor]))
     return analyze_series(counts, [outcome.total_time for outcome in outcomes],
                           label=f"{study.name} x{rate_factor:g} on {machine.name}")
-
-
-def run_scaling_study(machine=None,
-                      study: SpeculativeStudy = FIGURE8_STUDY,
-                      processor_counts: Sequence[int] = (1, 16, 256, 1024, 8000),
-                      rate_factor: float = 1.0,
-                      workers: int = 1) -> ScalingAnalysis:
-    """Predict and analyse a weak-scaling curve from a declared grid.
-
-    The processor-count axis is declared as a scenario grid and evaluated
-    through the batch :class:`~repro.experiments.sweep.SweepRunner`; the
-    resulting times feed :func:`analyze_series`.
-
-    Deprecated shim over the Study API (the ``"scaling"`` study): named
-    speculative studies with a machine given by preset name (or
-    defaulted) route through a spec; explicit :class:`Machine` instances
-    or unregistered studies run directly, bit-identically.
-    """
-    from repro.experiments.study import SPECULATIVE_STUDIES, build_spec, run_study
-    if SPECULATIVE_STUDIES.get(study.name) == study and \
-            (machine is None or isinstance(machine, str)):
-        spec = build_spec("scaling", machine=machine, workers=workers,
-                          figure=study.name,
-                          processor_counts=tuple(processor_counts),
-                          rate_factor=rate_factor)
-        return run_study(spec).payload
-    if isinstance(machine, str):
-        from repro.machines.presets import get_machine
-        machine = get_machine(machine)
-    return _run_scaling_impl(machine=machine, study=study,
-                             processor_counts=processor_counts,
-                             rate_factor=rate_factor, workers=workers)

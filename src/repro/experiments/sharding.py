@@ -540,7 +540,7 @@ def merge_study_results(results: Iterable[StudyResult]) -> StudyResult:
     parent spec, the full-grid row order and rows bit-identical to an
     unsharded run (whole-series derived columns are recomputed with the
     same arithmetic).  Wall-clock and cache accounting are summed across
-    shards; the legacy payload object is not reconstructed
+    shards; the payload object is not reconstructed
     (``payload=None``).
 
     Refuses, loudly: results of different studies, shards of different

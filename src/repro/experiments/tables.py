@@ -1,19 +1,14 @@
 """Regeneration of the validation tables (Tables 1-3).
 
-``run_table`` (and the per-table shims ``table1``/``table2``/``table3``)
-are thin entrypoints over the declarative Study API: serializable
-arguments are folded into a :class:`~repro.experiments.study.StudySpec`
-("table1"/"table2"/"table3" are registered studies) and executed through
-the shared :class:`~repro.experiments.study.StudyRunner` pipeline.
-Non-serializable arguments — an explicit ``rows`` subset, a live
-:class:`~repro.experiments.diskcache.SweepDiskCache` — fall back to the
-direct implementation, which is also what the registry's executors call,
-so both routes are bit-identical by construction.
+"table1"/"table2"/"table3" are registered studies
+(:mod:`repro.experiments.study`); their executor resolves the spec's
+``rows`` indices with :func:`rows_for_indices` and calls
+:func:`_run_table_impl`.  Run a table with
+``run_study(build_spec("table2", max_pes=16))``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Sequence
 
 from repro.errors import ExperimentError
@@ -72,112 +67,6 @@ def _run_table_impl(table_name: str,
                                    context=context, execution=sim_execution,
                                    samples=samples)
     return result
-
-
-def run_table(table_name: str,
-              rows: Sequence[PaperValidationRow] | None = None,
-              simulate_measurement: bool = True,
-              max_iterations: int = 12,
-              max_pes: int | None = None,
-              workers: int = 1,
-              cache: SweepDiskCache | str | None = None,
-              sim_execution: str = "auto",
-              samples: int = 0) -> ValidationTableResult:
-    """Reproduce one of the paper's validation tables.
-
-    Parameters
-    ----------
-    table_name:
-        ``"table1"``, ``"table2"`` or ``"table3"``.
-    rows:
-        Subset of rows to run (defaults to every row of the published table).
-    simulate_measurement:
-        Whether to run the discrete-event "measurement" for each row (the
-        expensive part); with ``False`` only predictions are produced and
-        compared against the paper's measured values.
-    max_iterations:
-        Number of source iterations (12 in the paper; smaller values are
-        useful for quick tests, and scale both prediction and measurement).
-    max_pes:
-        Optional cap on the processor count of the rows to run (for quick
-        smoke benchmarks).
-    workers:
-        Sweep workers for both the prediction grid and the batched
-        measurement grid (see :class:`~repro.experiments.sweep.SweepRunner`).
-    cache:
-        Optional disk-backed sweep cache shared by the measurement grid
-        (see :class:`~repro.experiments.diskcache.SweepDiskCache`).
-    sim_execution:
-        Simulation tier for the measurement grid: ``"auto"`` (trace
-        replay for modelled runs), ``"engine"`` (the per-event reference)
-        or ``"replay"``; all bit-identical.
-    samples:
-        When positive, replay each measurement under this many noise
-        seeds in one batched pass and attach per-row uncertainty
-        statistics (``measured_mean`` / ``measured_std`` /
-        ``measured_ci95``); ``measured`` stays the sample-0 value.
-    """
-    if rows is None and (cache is None or isinstance(cache, (str, os.PathLike))):
-        from repro.experiments.study import build_spec, run_study
-        spec = build_spec(table_name, workers=workers,
-                          cache_dir=str(cache) if cache is not None else None,
-                          simulate_measurement=simulate_measurement,
-                          max_iterations=max_iterations,
-                          max_pes=max_pes,
-                          sim_execution=sim_execution,
-                          samples=samples)
-        return run_study(spec).payload
-    return _run_table_impl(table_name, rows=rows,
-                           simulate_measurement=simulate_measurement,
-                           max_iterations=max_iterations, max_pes=max_pes,
-                           workers=workers, cache=cache,
-                           sim_execution=sim_execution,
-                           samples=samples)
-
-
-def table1(simulate_measurement: bool = True,
-           max_iterations: int = 12,
-           max_pes: int | None = None,
-           workers: int = 1,
-           cache: SweepDiskCache | str | None = None) -> ValidationTableResult:
-    """Reproduce Table 1 (Pentium-3 / Myrinet cluster).
-
-    Deprecated shim over the Study API: prefer
-    ``repro.api.run_study("table1")``.
-    """
-    return run_table("table1", simulate_measurement=simulate_measurement,
-                     max_iterations=max_iterations, max_pes=max_pes,
-                     workers=workers, cache=cache)
-
-
-def table2(simulate_measurement: bool = True,
-           max_iterations: int = 12,
-           max_pes: int | None = None,
-           workers: int = 1,
-           cache: SweepDiskCache | str | None = None) -> ValidationTableResult:
-    """Reproduce Table 2 (Opteron / Gigabit Ethernet cluster).
-
-    Deprecated shim over the Study API: prefer
-    ``repro.api.run_study("table2")``.
-    """
-    return run_table("table2", simulate_measurement=simulate_measurement,
-                     max_iterations=max_iterations, max_pes=max_pes,
-                     workers=workers, cache=cache)
-
-
-def table3(simulate_measurement: bool = True,
-           max_iterations: int = 12,
-           max_pes: int | None = None,
-           workers: int = 1,
-           cache: SweepDiskCache | str | None = None) -> ValidationTableResult:
-    """Reproduce Table 3 (SGI Altix Itanium-2 SMP).
-
-    Deprecated shim over the Study API: prefer
-    ``repro.api.run_study("table3")``.
-    """
-    return run_table("table3", simulate_measurement=simulate_measurement,
-                     max_iterations=max_iterations, max_pes=max_pes,
-                     workers=workers, cache=cache)
 
 
 def rows_for_indices(table_name: str,

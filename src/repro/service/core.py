@@ -149,19 +149,13 @@ class PredictionService:
         Where finished study jobs write the standard artifact layout
         (one sub-directory per job); ``None`` keeps results in memory
         only.
-    job_fleet_workers:
-        When > 0, study jobs front an in-process elastic fleet with
-        this many workers (:func:`~repro.experiments.fleet.
-        run_local_fleet`) instead of running inline — bit-identical
-        results, grid units executed in parallel.
     """
 
     def __init__(self, context=None, cache_dir: str | Path | None = None,
                  workers: int = 2, lru_size: int = 256,
                  window_s: float = 0.002, max_batch: int = 32,
                  artifact_dir: str | Path | None = None,
-                 job_concurrency: int = 1,
-                 job_fleet_workers: int = 0):
+                 job_concurrency: int = 1):
         if context is None:
             from repro.api import default_context
             context = default_context()
@@ -177,8 +171,7 @@ class PredictionService:
                                           window_s=window_s,
                                           max_batch=max_batch)
         self.jobs = JobManager(context=context, artifact_root=artifact_dir,
-                               max_concurrent=job_concurrency,
-                               fleet_workers=job_fleet_workers)
+                               max_concurrent=job_concurrency)
         #: One sweep runner and one asyncio lock per backend group; the
         #: lock serialises batches of a group, so each runner is only
         #: ever driven by one thread at a time.
@@ -562,15 +555,13 @@ class PredictionService:
 def run_server(host: str = "127.0.0.1", port: int = 8642,
                cache_dir: str | None = None, workers: int = 2,
                lru_size: int = 256, window_s: float = 0.002,
-               artifact_dir: str | None = None,
-               job_fleet_workers: int = 0) -> int:
+               artifact_dir: str | None = None) -> int:
     """Run the service in the foreground until interrupted (CLI `serve`)."""
 
     async def _serve() -> None:
         service = PredictionService(cache_dir=cache_dir, workers=workers,
                                     lru_size=lru_size, window_s=window_s,
-                                    artifact_dir=artifact_dir,
-                                    job_fleet_workers=job_fleet_workers)
+                                    artifact_dir=artifact_dir)
         server = await service.start(host, port)
         address = server.sockets[0].getsockname()
         print(f"repro-sweep3d service listening on "

@@ -71,26 +71,14 @@ class JobManager:
         Jobs running at once.  The default 1 matches the study runner's
         contract: ``_run_one`` rebinds the shared context's cache for
         the duration of a study, which two concurrent studies would race.
-    fleet_workers:
-        When > 0, each study job fronts an in-process elastic fleet
-        (:func:`~repro.experiments.fleet.run_local_fleet`) with this
-        many workers instead of one inline ``StudyRunner.run`` — the
-        study's grid units execute in parallel under the leased-unit
-        protocol, and the merged result is bit-identical to the inline
-        path.  Shard specs (a single already-planned slice) always run
-        inline: the fleet would re-decompose their parent.
     """
 
     def __init__(self, context: StudyContext,
                  artifact_root: str | Path | None = None,
-                 max_concurrent: int = 1,
-                 fleet_workers: int = 0):
-        if fleet_workers < 0:
-            raise ServiceError("fleet_workers must be >= 0")
+                 max_concurrent: int = 1):
         self._context = context
         self._artifact_root = (Path(artifact_root)
                                if artifact_root is not None else None)
-        self._fleet_workers = fleet_workers
         self._semaphore = asyncio.Semaphore(max_concurrent)
         #: One thread: job compute must never starve the predict/simulate
         #: pool, and a single lane matches the semaphore default.
@@ -181,24 +169,12 @@ class JobManager:
             raise
 
     def _execute(self, record: JobRecord) -> tuple[StudyResult, Path | None]:
-        result = self._run_spec(record.spec)
+        result = StudyRunner(context=self._context).run(record.spec)
         artifact_dir = None
         if self._artifact_root is not None:
             artifact_dir = self._artifact_root / record.job_id
             write_study_artifacts([result], artifact_dir)
         return result, artifact_dir
-
-    def _run_spec(self, spec: StudySpec) -> StudyResult:
-        if self._fleet_workers > 0:
-            from repro.experiments.fleet import run_local_fleet
-            from repro.experiments.sharding import is_shard_spec
-            if not is_shard_spec(spec):
-                outcome = run_local_fleet(
-                    [spec], n_workers=self._fleet_workers,
-                    context=self._context if self._fleet_workers == 1
-                    else None)
-                return outcome.results[0]
-        return StudyRunner(context=self._context).run(spec)
 
     # ------------------------------------------------------------------
 

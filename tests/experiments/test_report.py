@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments.ablation import AblationResult
-from repro.experiments.figures import figure8
 from repro.experiments.paper_data import TABLE2_ROWS
 from repro.experiments.report import (
     error_summary,
@@ -12,6 +11,7 @@ from repro.experiments.report import (
     format_validation_table,
 )
 from repro.experiments.runner import ValidationRowResult, ValidationTableResult
+from repro.experiments.study import build_spec, run_study
 
 
 def make_table_result() -> ValidationTableResult:
@@ -50,7 +50,8 @@ class TestValidationTableReport:
 
 class TestFigureReport:
     def test_figure_table_layout(self):
-        result = figure8(processor_counts=[1, 4], rate_factors=[1.0, 1.5])
+        result = run_study(build_spec("figure8", processor_counts=[1, 4],
+                                      rate_factors=[1.0, 1.5])).payload
         text = format_figure(result)
         assert "Processors" in text
         assert "340 MFLOPS" in text and "510 MFLOPS" in text
@@ -59,7 +60,8 @@ class TestFigureReport:
         assert "expected 'actual' time" not in text
 
     def test_figure_footer_on_full_axis(self):
-        result = figure8(processor_counts=[1, 8000], rate_factors=[1.0])
+        result = run_study(build_spec("figure8", processor_counts=[1, 8000],
+                                      rate_factors=[1.0])).payload
         text = format_figure(result)
         assert "expected 'actual' time at 8000 processors" in text
 

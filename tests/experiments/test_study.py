@@ -7,10 +7,6 @@ import sys
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.ablation import _run_opcode_ablation_impl
-from repro.experiments.blocking import _run_blocking_impl
-from repro.experiments.figures import _run_speculative_figure_impl
-from repro.experiments.paper_data import FIGURE8_STUDY
 from repro.experiments.study import (
     StudyContext,
     StudyRunner,
@@ -21,8 +17,6 @@ from repro.experiments.study import (
     run_study,
     study_names,
 )
-from repro.experiments.tables import _run_table_impl, run_table, table2
-from repro.machines.presets import get_machine
 
 ALL_STUDIES = ("table1", "table2", "table3", "figure8", "figure9",
                "blocking", "scaling", "ablation", "agreement",
@@ -156,89 +150,6 @@ class TestRoundTrippedRunsAreBitIdentical:
         rebuilt = run_study(StudySpec.from_json(spec.to_json()))
         assert [series.times for series in direct.payload.series] \
             == [series.times for series in rebuilt.payload.series]
-
-
-class TestShimsMatchDirectImplementations:
-    """The deprecation shims route through specs yet stay bit-identical."""
-
-    def test_table_shim_matches_impl(self):
-        shimmed = table2(max_pes=6, max_iterations=2)
-        direct = _run_table_impl("table2", max_pes=6, max_iterations=2)
-        assert [row.predicted for row in shimmed.rows] \
-            == [row.predicted for row in direct.rows]
-        assert [row.measured for row in shimmed.rows] \
-            == [row.measured for row in direct.rows]
-
-    def test_run_table_with_explicit_rows_bypasses_spec(self):
-        from repro.experiments.tables import validation_row_for
-        row = validation_row_for("table2", 4)
-        result = run_table("table2", rows=[row], simulate_measurement=False,
-                           max_iterations=2)
-        assert len(result.rows) == 1
-        assert result.rows[0].pes == 4
-
-    def test_figure_shim_matches_impl(self):
-        from repro.experiments.figures import figure8
-        shimmed = figure8(processor_counts=[1, 4], rate_factors=[1.0, 1.25])
-        direct = _run_speculative_figure_impl(
-            FIGURE8_STUDY, processor_counts=[1, 4], rate_factors=[1.0, 1.25])
-        assert [series.times for series in shimmed.series] \
-            == [series.times for series in direct.series]
-
-    def test_blocking_shim_matches_impl(self):
-        from repro.experiments.blocking import run_blocking_study
-        kwargs = dict(px=4, py=4, mk_values=(1, 10), mmi_values=(1, 3),
-                      max_iterations=2)
-        shimmed = run_blocking_study(**kwargs)
-        direct = _run_blocking_impl(**kwargs)
-        assert [p.predicted_time for p in shimmed.points] \
-            == [p.predicted_time for p in direct.points]
-
-    def test_blocking_shim_accepts_machine_instance(self):
-        machine = get_machine("pentium3-myrinet")
-        result = run_blocking_study_with_machine(machine)
-        assert result.machine_name == machine.name
-
-    def test_scaling_shim_matches_impl(self):
-        from repro.experiments.scaling import _run_scaling_impl, run_scaling_study
-        shimmed = run_scaling_study(processor_counts=(1, 16))
-        direct = _run_scaling_impl(processor_counts=(1, 16))
-        assert [p.time for p in shimmed.points] == [p.time for p in direct.points]
-
-    def test_ablation_shim_matches_impl(self):
-        from repro.experiments.ablation import run_opcode_ablation
-        shimmed = run_opcode_ablation(max_iterations=2)
-        direct = _run_opcode_ablation_impl(max_iterations=2)
-        assert shimmed.coarse_prediction == direct.coarse_prediction
-        assert shimmed.legacy_prediction == direct.legacy_prediction
-        assert shimmed.measured == direct.measured
-
-    def test_agreement_shim_matches_impl(self):
-        from repro.experiments.agreement import (
-            _run_model_agreement_impl,
-            run_model_agreement,
-        )
-        shimmed = run_model_agreement(processor_counts=[16, 64])
-        direct = _run_model_agreement_impl(processor_counts=[16, 64])
-        assert [c.pace for c in shimmed.comparisons] \
-            == [c.pace for c in direct.comparisons]
-        assert [c.loggp for c in shimmed.comparisons] \
-            == [c.loggp for c in direct.comparisons]
-
-    def test_bad_shim_kwargs_fail_loudly(self):
-        with pytest.raises(TypeError):
-            table2(max_pies=6)
-        from repro.experiments.figures import figure8
-        with pytest.raises(TypeError):
-            figure8(rate_factor=1.5)
-
-
-def run_blocking_study_with_machine(machine):
-    from repro.experiments.blocking import run_blocking_study
-    return run_blocking_study(machine=machine, px=2, py=2,
-                              cells_per_processor=(5, 5, 20),
-                              mk_values=(1, 10), mmi_values=(1, 3),
-                              max_iterations=1)
 
 
 class TestStudyRunner:

@@ -93,21 +93,23 @@ class TestSweepRunner:
 
 
 class TestSweepCli:
+    """The prediction grid on the command line: ``simulate --backend predict``."""
+
     def test_round_trip(self, capsys):
-        assert main(["sweep", "--machine", "opteron", "--deck", "validation",
-                     "--arrays", "1x1,2x2", "--iterations", "2",
-                     "--workers", "2"]) == 0
+        assert main(["simulate", "--backend", "predict", "--machine", "opteron",
+                     "--deck", "validation", "--arrays", "1x1,2x2",
+                     "--iterations", "2", "--workers", "2"]) == 0
         out = capsys.readouterr().out
-        assert "scenario sweep on opteron-gige" in out
+        assert "opteron-gige" in out and "'predict' backend" in out
         assert "1x1" in out and "2x2" in out
         assert "cache:" in out
 
     def test_bad_arrays_rejected(self, capsys):
-        assert main(["sweep", "--arrays", "2by2"]) == 2
-        assert main(["sweep", "--arrays", ","]) == 2
-        assert main(["sweep", "--arrays", "0x2"]) == 2
-        assert main(["sweep", "--arrays", "2x-1"]) == 2
+        for arrays in ("2by2", ",", "0x2", "2x-1"):
+            assert main(["simulate", "--backend", "predict",
+                         "--arrays", arrays]) == 2
 
     def test_bad_workers_rejected(self, capsys):
-        assert main(["sweep", "--arrays", "1x1", "--workers", "0"]) == 2
+        assert main(["simulate", "--backend", "predict", "--arrays", "1x1",
+                     "--workers", "0"]) == 2
         assert "--workers" in capsys.readouterr().out

@@ -5,7 +5,12 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments.paper_data import TABLE2_ROWS
 from repro.experiments.runner import deck_for_row, run_validation_row
-from repro.experiments.tables import run_table, table2, validation_row_for
+from repro.experiments.study import build_spec, run_study
+from repro.experiments.tables import validation_row_for
+
+
+def run_table_study(table_name, **params):
+    return run_study(build_spec(table_name, **params)).payload
 
 
 class TestRunner:
@@ -43,7 +48,7 @@ class TestRunner:
 
 class TestRunTable:
     def test_prediction_only_table2_all_rows(self):
-        result = run_table("table2", simulate_measurement=False)
+        result = run_table_study("table2", simulate_measurement=False)
         assert result.name == "table2"
         assert len(result.rows) == len(TABLE2_ROWS)
         # Shape check against the paper: predictions within 25% of the
@@ -54,22 +59,29 @@ class TestRunTable:
             assert row.predicted == pytest.approx(row.paper_measured, rel=0.25)
 
     def test_simulated_measurement_errors_below_ten_percent(self):
-        result = table2(max_pes=9, max_iterations=12)
+        result = run_table_study("table2", max_pes=9, max_iterations=12)
         assert result.rows
         assert result.max_abs_error < 10.0
         assert result.average_abs_error < 8.0
 
     def test_max_pes_filter(self):
-        result = run_table("table2", simulate_measurement=False, max_pes=12)
+        result = run_table_study("table2", simulate_measurement=False, max_pes=12)
         assert all(row.pes <= 12 for row in result.rows)
 
     def test_unknown_table(self):
         with pytest.raises(ExperimentError):
-            run_table("table9")
+            run_table_study("table9")
 
     def test_empty_selection(self):
         with pytest.raises(ExperimentError):
-            run_table("table2", max_pes=1)
+            run_table_study("table2", max_pes=1)
+
+    def test_rows_parameter_selects_published_rows(self):
+        index = TABLE2_ROWS.index(validation_row_for("table2", 4))
+        result = run_table_study("table2", rows=(index,),
+                                 simulate_measurement=False, max_iterations=2)
+        assert len(result.rows) == 1
+        assert result.rows[0].pes == 4
 
     def test_validation_row_lookup(self):
         row = validation_row_for("table1", 64)
@@ -79,14 +91,14 @@ class TestRunTable:
 
     def test_table3_prediction_against_paper(self):
         """Altix predictions stay within 25% of the published measurements."""
-        result = run_table("table3", simulate_measurement=False, max_pes=30)
+        result = run_table_study("table3", simulate_measurement=False, max_pes=30)
         for row in result.rows:
             assert row.predicted == pytest.approx(row.paper_measured, rel=0.25)
 
 
 class TestErrorStatistics:
     def test_statistics_computed(self, opteron_machine):
-        result = run_table("table2", max_pes=6, max_iterations=6)
+        result = run_table_study("table2", max_pes=6, max_iterations=6)
         errors = result.errors()
         assert len(errors) == 2
         assert result.max_abs_error >= abs(errors[0])

@@ -31,25 +31,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "flux error" in out
 
-    def test_table_command_prediction_only(self, capsys):
-        assert main(["table2", "--max-pes", "6", "--iterations", "2",
-                     "--no-measurement"]) == 0
+    def test_run_table_prediction_only(self, capsys):
+        assert main(["run", "table2", "--set", "max_pes=6",
+                     "--set", "max_iterations=2",
+                     "--set", "simulate_measurement=false"]) == 0
         out = capsys.readouterr().out
         assert "table2" in out and "100x100x50" in out
 
-    def test_table_command_with_measurement(self, capsys):
-        assert main(["table2", "--max-pes", "4", "--iterations", "2"]) == 0
+    def test_run_table_with_measurement(self, capsys):
+        assert main(["run", "table2", "--set", "max_pes=4",
+                     "--set", "max_iterations=2"]) == 0
         out = capsys.readouterr().out
         assert "Error(%)" in out
 
-    def test_figure_command(self, capsys):
-        assert main(["figure8", "--max-processors", "16"]) == 0
+    def test_run_figure(self, capsys):
+        assert main(["run", "figure8", "--set", "processor_counts=[1,4,16]"]) == 0
         out = capsys.readouterr().out
         assert "twenty million cell" in out
         assert "340 MFLOPS" in out
 
-    def test_ablation_command(self, capsys):
-        assert main(["ablation", "--iterations", "2"]) == 0
+    def test_run_ablation(self, capsys):
+        assert main(["run", "ablation", "--set", "max_iterations=2"]) == 0
         out = capsys.readouterr().out
         assert "legacy" in out
 
@@ -67,6 +69,16 @@ class TestCli:
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv", [
+        ["table1"],
+        ["sweep"],
+        ["serve", "--job-fleet-workers", "2"],
+    ], ids=["table1", "sweep", "serve-removed-flag"])
+    def test_removed_subcommands_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
     def test_unknown_machine_raises(self):
         from repro.errors import MachineNotFoundError
@@ -264,6 +276,22 @@ class TestStudyCli:
     def test_run_without_studies_errors(self, capsys):
         assert main(["run"]) == 2
         assert "nothing to run" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "nosuch"], "unknown study 'nosuch'"),
+        (["run", "missing.toml"], "cannot read study spec"),
+        (["run", "ablation", "--smoke", "--workers", "0"],
+         "at least one worker"),
+        (["shard", "plan", "nosuch", "--shards", "2"],
+         "unknown study 'nosuch'"),
+    ], ids=["run-unknown-study", "run-missing-spec-file", "run-zero-workers",
+            "shard-plan-unknown-study"])
+    def test_bad_study_input_is_a_clean_error(self, argv, message, capsys,
+                                              tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert f"{argv[0]} failed: " in out and message in out
 
     def test_run_with_shared_cache_dir(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "store")
