@@ -106,7 +106,7 @@ def test_batched_daemon_noise_bit_identical():
         assert _sample_key(batch.sample(index)) == _sample_key(single)
 
     # One engine run closes the chain: batch sample == replay == engine.
-    engine_run = plan.run(noise=machine.noise_model(0), mode="engine")
+    engine_run = plan.run_engine(noise=machine.noise_model(0))
     assert batch.elapsed[0] == engine_run.elapsed_time
     assert _sample_key(batch.sample(0)) == _sample_key(engine_run.simulation)
 

@@ -5,8 +5,9 @@ batched-simulation refactor: a 25-point (px, py) scenario grid evaluated
 through ``SweepRunner`` with the registered ``SimulationBackend`` must be at
 least 3x faster than the per-point path (a fresh ``ClusterEngine``,
 decomposition, quadrature and per-block operation-mix pricing per point —
-the seed's ``machine.simulate``) while producing bit-identical results:
-same elapsed times, same per-rank finish times, same message counts.
+``run_parallel_sweep``, the fresh-engine reference) while producing
+bit-identical results: same elapsed times, same per-rank finish times,
+same message counts.
 
 The batched path wins by lowering each configuration once into a
 ``SimulationPlan`` and pricing every distinct compute-block shape once in a
@@ -32,6 +33,7 @@ from gate_report import record_gate
 from repro.experiments.backends import SimulationBackend, simulation_grid
 from repro.experiments.sweep import SweepRunner
 from repro.machines.presets import get_machine
+from repro.sweep3d.driver import run_parallel_sweep
 from repro.sweep3d.input import standard_deck
 
 #: Source iterations per simulated run (kept small; scales both paths).
@@ -42,13 +44,15 @@ ARRAYS = [(px, py) for px in range(1, 6) for py in range(1, 6)]
 
 
 def _run_naive(machine, backend) -> tuple[float, list]:
-    """Per-point engine construction: the seed's measurement path."""
+    """Per-point engine construction: the fresh-engine reference path."""
     start = time.perf_counter()
     results = []
     for scenario in simulation_grid(ARRAYS):
         deck, px, py = backend.deck_for(scenario)
         offset = backend.seed_offset_for(scenario, deck, px, py)
-        run = machine.simulate(deck, px, py, numeric=False, seed_offset=offset)
+        run = run_parallel_sweep(deck, px, py, topology=machine.topology,
+                                 processor=machine.processor,
+                                 noise=machine.noise_model(offset))
         results.append((run.elapsed_time,
                         tuple(r.finish_time for r in run.simulation.ranks),
                         run.total_messages))

@@ -3,12 +3,13 @@
 ``test_steady_vs_replay_4x4_long_run`` is the acceptance gate of the
 periodic-trace steady-state tier: on a 16-rank modelled validation
 scenario iterated long enough that the periodic bulk dominates
-(~320 source iterations, ~3.3M events), ``SimulationPlan.run
-(mode="steady")`` — which replays only the warm-up plus a short lock-in
-window and extrapolates the repeating bulk as a max-plus cycle mean —
-must resolve the run at least 20x faster than the full O(events) trace
-replay, bit-identical down to the last rank counter: same elapsed time,
-per-rank finish/compute/comm times, message and traffic statistics.
+(~320 source iterations, ~3.3M events), a noise-free
+``SimulationPlan.run()`` — which picks the steady tier: it replays only
+the warm-up plus a short lock-in window and extrapolates the repeating
+bulk as a max-plus cycle mean — must resolve the run at least 20x faster
+than the full O(events) ``CompiledTrace.replay()``, bit-identical down
+to the last rank counter: same elapsed time, per-rank
+finish/compute/comm times, message and traffic statistics.
 
 ``test_steady_refuses_loudly_and_falls_back`` locks the other half of
 the contract: on a machine whose cost table is not quantised (sums of
@@ -18,10 +19,10 @@ fall back to a replay that still matches the engine bit for bit.
 Silent wrong-but-fast extrapolation is the failure mode this guards.
 
 ``test_steady_scaling_smoke_uses_steady_tier`` is the end-to-end gate:
-the ``steady-scaling`` study's smoke grid, run with the default
-``sim_execution="auto"``, must actually land every scenario on the
-steady tier (per-scenario execution counts in ``StudyResult.execution``)
-and produce rows identical to the forced-engine path modulo the tier
+the ``steady-scaling`` study's smoke grid must actually land every
+scenario on the steady tier (per-scenario execution counts in
+``StudyResult.execution``) and produce rows identical to a run with the
+reference engine substituted for every plan's tier, modulo the tier
 column itself.
 
 Baseline on the reference container (16 ranks, 320 iterations, ~3.3M
@@ -34,10 +35,13 @@ from __future__ import annotations
 
 import time
 
+import pytest
 from gate_report import record_gate
 
 from repro.experiments.study import build_spec, run_study
 from repro.machines.presets import get_machine
+from repro.simmpi.steady import SteadyStateError, steady_replay
+from repro.sweep3d.driver import SimulationPlan
 from repro.sweep3d.input import standard_deck
 
 #: Source iterations per simulated run.  Long enough that the periodic
@@ -48,9 +52,8 @@ ITERATIONS = 320
 RUNS = 3
 
 
-def _result_key(run):
+def _result_key(sim):
     """Everything the gate compares, down to the last bit."""
-    sim = run.simulation
     return (
         sim.elapsed_time,
         tuple((r.finish_time, r.compute_time, r.comm_time, r.messages_sent,
@@ -61,7 +64,7 @@ def _result_key(run):
         sim.traffic.intra_node_messages,
         sim.traffic.inter_node_messages,
         tuple(sorted(sim.traffic.by_tag.items())),
-        tuple(run.error_history),
+        tuple(sim.return_values[0]["error_history"]),
     )
 
 
@@ -76,27 +79,28 @@ def test_steady_vs_replay_4x4_long_run():
     plan = _long_plan(machine)
     trace = plan.compile_trace()
 
-    replayed = plan.run(mode="replay")
-    steadied = plan.run(mode="steady")
+    replayed = trace.replay()
+    steadied = plan.run()
     assert plan.last_execution == "steady", plan.last_steady_refusal
-    assert plan.steadies >= 1
-    assert _result_key(steadied) == _result_key(replayed)
+    assert _result_key(steadied.simulation) == _result_key(replayed)
 
     # A short engine run closes the chain on the same machine: the tiers
     # agree with the per-event reference, not merely with each other.
     short = _long_plan(machine, iterations=12)
-    assert _result_key(short.run(mode="steady")) == \
-        _result_key(short.run(mode="engine"))
+    short_steady = short.run()
+    assert short.last_execution == "steady", short.last_steady_refusal
+    assert _result_key(short_steady.simulation) == \
+        _result_key(short.run_engine().simulation)
 
     best_speedup = 0.0
     for _ in range(2):                          # one retry guards against noise
         start = time.perf_counter()
         for _ in range(RUNS):
-            plan.run(mode="replay")
+            trace.replay()
         replay_elapsed = time.perf_counter() - start
         start = time.perf_counter()
         for _ in range(RUNS):
-            plan.run(mode="steady")
+            plan.run()
         steady_elapsed = time.perf_counter() - start
         best_speedup = max(best_speedup, replay_elapsed / steady_elapsed)
         if best_speedup >= 20.0:
@@ -114,27 +118,32 @@ def test_steady_refuses_loudly_and_falls_back():
     machine = get_machine("hypothetical-opteron-myrinet")   # continuous
     plan = _long_plan(machine, iterations=12)
 
-    run = plan.run(mode="steady")
+    run = plan.run()
     assert plan.last_execution == "replay"
-    assert plan.steadies == 0
     assert "dyadic" in plan.last_steady_refusal
-    assert _result_key(run) == _result_key(plan.run(mode="engine"))
+    assert _result_key(run.simulation) == \
+        _result_key(plan.run_engine().simulation)
 
-    # Noise refuses too — extrapolation would erase the drawn stream.
+    # Noise refuses too — extrapolation would erase the drawn stream — so
+    # a noisy run goes straight to the replay.
     quantised = _long_plan(get_machine("steady"), iterations=12)
-    noisy = quantised.run(noise=machine.noise_model(3), mode="steady")
+    with pytest.raises(SteadyStateError, match="noise"):
+        steady_replay(quantised.compile_trace(), machine.noise_model(3))
+    noisy = quantised.run(noise=machine.noise_model(3))
     assert quantised.last_execution == "replay"
-    assert "noise" in quantised.last_steady_refusal
-    assert _result_key(noisy) == \
-        _result_key(quantised.run(noise=machine.noise_model(3), mode="engine"))
+    assert _result_key(noisy.simulation) == _result_key(
+        quantised.run_engine(noise=machine.noise_model(3)).simulation)
     record_gate("steady_loud_fallback_identical", 1.0, 1.0, unit="identical")
 
 
-def test_steady_scaling_smoke_uses_steady_tier():
+def test_steady_scaling_smoke_uses_steady_tier(monkeypatch):
     """steady-scaling smoke lands on the steady tier, rows == engine."""
     auto = run_study(build_spec("steady-scaling").smoke())
-    engine = run_study(build_spec("steady-scaling",
-                                  sim_execution="engine").smoke())
+    # Substitute the reference engine for whatever tier a plan picks.
+    monkeypatch.setattr(
+        SimulationPlan, "run",
+        lambda plan, noise=None, seed=None: plan.run_engine(noise, seed))
+    engine = run_study(build_spec("steady-scaling").smoke())
 
     assert sum(auto.execution.values()) == len(auto.rows)
     assert auto.execution == {"steady": len(auto.rows)}
@@ -148,9 +157,10 @@ def test_steady_replay_speed(benchmark):
     machine = get_machine("steady")
     plan = _long_plan(machine)
     plan.compile_trace()
-    plan.run(mode="steady")                     # warm the period analysis
+    plan.run()                                  # warm the period analysis
+    assert plan.last_execution == "steady"
 
-    result = benchmark(lambda: plan.run(mode="steady"))
+    result = benchmark(plan.run)
     assert result.elapsed_time > 0
     benchmark.extra_info["events"] = plan.compile_trace().n_events
     benchmark.extra_info["iterations"] = ITERATIONS

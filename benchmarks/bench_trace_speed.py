@@ -15,9 +15,9 @@ speedup; daemon noise forces the scalar draw loop, so the win there is
 smaller but the identity is absolute.
 
 ``test_trace_smoke_studies_bit_identical`` is the end-to-end gate: a
-``run --all --smoke`` pass with trace replay enabled (the default,
-``sim_execution="auto"``) produces row/CSV artifacts bit-identical to the
-forced engine path for all nine registered studies.
+``run --all --smoke`` pass on the tiers the simulator picks produces
+row/CSV artifacts bit-identical to a pass with the reference engine
+substituted for every plan's tier, for every registered study.
 
 Baseline on the reference container (16 ranks, 2 iterations, ~10k
 events): engine ~40 ms/run vs replay ~1.7 ms/run (~24x); trace capture
@@ -32,8 +32,9 @@ import time
 from gate_report import record_gate
 
 from repro.experiments.artifacts import write_study_artifacts
-from repro.experiments.study import build_spec, get_study, run_studies, study_names
+from repro.experiments.study import build_spec, run_studies, study_names
 from repro.machines.presets import get_machine
+from repro.sweep3d.driver import SimulationPlan
 from repro.sweep3d.input import standard_deck
 
 #: Source iterations per simulated run (kept small; scales both paths).
@@ -43,9 +44,8 @@ ITERATIONS = 2
 RUNS = 5
 
 
-def _result_key(run):
+def _result_key(sim):
     """Everything the gate compares, down to the last bit."""
-    sim = run.simulation
     return (
         sim.elapsed_time,
         tuple((r.finish_time, r.compute_time, r.comm_time, r.messages_sent,
@@ -56,7 +56,7 @@ def _result_key(run):
         sim.traffic.intra_node_messages,
         sim.traffic.inter_node_messages,
         tuple(sorted(sim.traffic.by_tag.items())),
-        tuple(run.error_history),
+        tuple(sim.return_values[0]["error_history"]),
     )
 
 
@@ -70,21 +70,21 @@ def test_trace_replay_16_rank_vs_engine():
     machine = get_machine("pentium3-myrinet")
     plan = _plan_16_ranks(machine)
 
-    reference = plan.run(mode="engine")         # warms the cost table
+    reference = plan.run_engine()               # warms the cost table
     trace = plan.compile_trace()
-    replayed = plan.run(mode="replay")
-    assert _result_key(replayed) == _result_key(reference)
+    replayed = trace.replay()
+    assert _result_key(replayed) == _result_key(reference.simulation)
     assert trace.n_messages == reference.total_messages
 
     best_speedup = 0.0
     for _ in range(2):                          # one retry guards against noise
         start = time.perf_counter()
         for _ in range(RUNS):
-            plan.run(mode="engine")
+            plan.run_engine()
         engine_elapsed = time.perf_counter() - start
         start = time.perf_counter()
         for _ in range(RUNS):
-            plan.run(mode="replay")
+            trace.replay()
         replay_elapsed = time.perf_counter() - start
         best_speedup = max(best_speedup, engine_elapsed / replay_elapsed)
         if best_speedup >= 10.0:
@@ -102,17 +102,19 @@ def test_trace_replay_noisy_bit_identical():
     plan = _plan_16_ranks(machine)
 
     for seed in (1, 17, 4242):
-        engine_run = plan.run(noise=machine.noise_model(seed), mode="engine")
-        replay_run = plan.run(noise=machine.noise_model(seed), mode="replay")
-        assert _result_key(replay_run) == _result_key(engine_run)
+        engine_run = plan.run_engine(noise=machine.noise_model(seed))
+        replay_run = plan.run(noise=machine.noise_model(seed))
+        assert plan.last_execution == "replay"
+        assert _result_key(replay_run.simulation) == \
+            _result_key(engine_run.simulation)
 
     start = time.perf_counter()
     for _ in range(RUNS):
-        plan.run(noise=machine.noise_model(7), mode="engine")
+        plan.run_engine(noise=machine.noise_model(7))
     engine_elapsed = time.perf_counter() - start
     start = time.perf_counter()
     for _ in range(RUNS):
-        plan.run(noise=machine.noise_model(7), mode="replay")
+        plan.run(noise=machine.noise_model(7))
     replay_elapsed = time.perf_counter() - start
     speedup = engine_elapsed / replay_elapsed
     print(f"\nnoisy 16-rank run: engine {engine_elapsed / RUNS * 1e3:.1f} ms, "
@@ -136,10 +138,10 @@ def test_trace_capture_amortises_within_one_run():
     machine = get_machine("pentium3-myrinet")
 
     plan = _plan_16_ranks(machine)
-    plan.run(mode="engine")                     # warm the cost table
+    plan.run_engine()                           # warm the cost table
     start = time.perf_counter()
     for _ in range(3):
-        plan.run(mode="engine")
+        plan.run_engine()
     engine_elapsed = (time.perf_counter() - start) / 3
 
     best_ratio = float("inf")
@@ -147,7 +149,7 @@ def test_trace_capture_amortises_within_one_run():
         fresh = _plan_16_ranks(machine)
         start = time.perf_counter()
         fresh.compile_trace()
-        fresh.run(noise=machine.noise_model(3), mode="replay")
+        fresh.run(noise=machine.noise_model(3))
         cold_elapsed = time.perf_counter() - start
         best_ratio = min(best_ratio, cold_elapsed / engine_elapsed)
         if best_ratio <= 2.0:
@@ -160,24 +162,25 @@ def test_trace_capture_amortises_within_one_run():
     assert best_ratio <= 2.0
 
 
-def test_trace_smoke_studies_bit_identical(tmp_path):
-    """run --all --smoke with replay == the engine path, all nine studies.
+def test_trace_smoke_studies_bit_identical(tmp_path, monkeypatch):
+    """run --all --smoke on the picked tiers == the engine, every study.
 
-    ``sim_execution`` is a spec parameter, so the two runs have different
-    spec hashes by construction; the identity that matters — and is
-    asserted — is the produced data: per-study columns, rows and CSV
-    bytes.
+    The identity asserted is the produced data: per-study columns, rows
+    and CSV bytes.
     """
-    auto_specs, engine_specs = [], []
-    for name in study_names():
-        auto_specs.append(build_spec(name).smoke())
-        params = {}
-        if "sim_execution" in get_study(name).defaults:
-            params["sim_execution"] = "engine"
-        engine_specs.append(build_spec(name, **params).smoke())
+    specs = [build_spec(name).smoke() for name in study_names()]
+    auto_results = run_studies(specs)
+    picked_run = SimulationPlan.run
 
-    auto_results = run_studies(auto_specs)
-    engine_results = run_studies(engine_specs)
+    def engine_run(plan, noise=None, seed=None, samples=None):
+        # Substitute the reference engine for whatever tier a plan picks;
+        # a sampled run has no engine tier and keeps its batched replay.
+        if samples is not None:
+            return picked_run(plan, noise, seed, samples)
+        return plan.run_engine(noise, seed)
+
+    monkeypatch.setattr(SimulationPlan, "run", engine_run)
+    engine_results = run_studies(specs)
     write_study_artifacts(auto_results, tmp_path / "auto")
     write_study_artifacts(engine_results, tmp_path / "engine")
 
@@ -199,8 +202,7 @@ def test_trace_replay_speed(benchmark):
     plan = _plan_16_ranks(machine)
     plan.compile_trace()
 
-    result = benchmark(lambda: plan.run(noise=machine.noise_model(4),
-                                        mode="replay"))
+    result = benchmark(lambda: plan.run(noise=machine.noise_model(4)))
     assert result.elapsed_time > 0
     benchmark.extra_info["events"] = plan.compile_trace().n_events
     benchmark.extra_info["simulated_seconds"] = round(result.elapsed_time, 2)

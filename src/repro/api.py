@@ -268,41 +268,25 @@ def simulate(machine: Machine | str, px: int, py: int,
              numeric: bool = False,
              with_noise: bool = True,
              seed_offset: int = 0,
-             execution: str = "engine",
              samples: int = 0):
     """Run one configuration on the discrete-event simulated cluster.
 
     Returns the full :class:`~repro.sweep3d.driver.Sweep3DRunResult`
     (elapsed time, message traffic, and — in ``numeric`` mode — the flux
-    field), i.e. the paper's "measurement" side.
-
-    ``execution`` selects the tier: ``"engine"`` (default) runs the
-    per-event reference :class:`~repro.simmpi.engine.ClusterEngine`;
-    ``"replay"`` records the configuration's event stream once and
-    resolves the run as a max-plus trace replay
-    (:mod:`repro.simmpi.trace`) — bit-identical, and much faster when
-    the same configuration is simulated repeatedly; ``"steady"`` attempts
-    the steady-state cycle-mean tier (:mod:`repro.simmpi.steady`), which
-    replays only the trace's warm-up plus a short lock-in window and
-    extrapolates the periodic bulk — bit-identical or it refuses, falling
-    back to replay; ``"auto"`` picks the fastest applicable tier.
+    field), i.e. the paper's "measurement" side.  The simulator picks the
+    fastest bit-identical tier itself
+    (:meth:`~repro.sweep3d.driver.SimulationPlan.run`): the reference
+    engine for numeric runs, the steady-state tier for noise-free
+    modelled runs it accepts, trace replay otherwise.
 
     ``samples > 0`` draws that many noise seeds in **one** batched replay
     and returns a :class:`~repro.sweep3d.driver.Sweep3DSampleSet`
-    (per-sample elapsed times plus mean/std/CI95).  Sampled runs are
-    replay-resolved, so the default ``execution="engine"`` is upgraded to
-    ``"auto"`` (bit-identical per sample); sample 0 uses ``seed_offset``'s
-    own noise stream, so its run matches the single-run path exactly.
+    (per-sample elapsed times plus mean/std/CI95); sample 0 uses
+    ``seed_offset``'s own noise stream, so its run matches the single-run
+    path exactly.
     """
     machine = _resolve(machine)
     deck = _resolve_deck(deck, px, py, iterations)
-    if samples:
-        if execution == "engine":
-            execution = "auto"
-        return machine.simulate(deck, px, py, numeric=numeric,
-                                with_noise=with_noise,
-                                seed_offset=seed_offset,
-                                execution=execution, samples=samples)
     return machine.simulate(deck, px, py, numeric=numeric,
                             with_noise=with_noise, seed_offset=seed_offset,
-                            execution=execution)
+                            samples=samples or None)

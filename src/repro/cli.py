@@ -47,11 +47,10 @@ ad-hoc grid and inspection tools:
         --backend predict --workers 4
     repro-sweep3d simulate --machine pentium3 --arrays 1x1,2x2,4x4 \\
         --iterations 2 --workers 4 --cache-dir ~/.cache/repro-sweep3d
-    repro-sweep3d simulate --machine pentium3 --px 2 --py 2 --execution engine
-    repro-sweep3d simulate --machine steady --px 4 --py 4 --execution steady
+    repro-sweep3d simulate --machine steady --px 4 --py 4 --iterations 50 \\
+        --no-noise
     repro-sweep3d simulate --machine steady --px 4 --py 4 --describe-trace
     repro-sweep3d simulate --machine pentium3 --px 2 --py 2 --samples 32
-    repro-sweep3d run table2 --smoke --set sim_execution=engine
     repro-sweep3d run table2 --smoke --samples 16
     repro-sweep3d run noise-sensitivity --smoke
     repro-sweep3d machines
@@ -70,7 +69,7 @@ from repro._version import __version__
 from repro.core.evaluation import EvaluationEngine
 from repro.core.hmcl.parser import format_hmcl
 from repro.core.workload import SweepWorkload, load_sweep3d_model
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, Sweep3DError
 from repro.experiments.study import (
     StudyRunner,
     StudySpec,
@@ -274,16 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--backend", default="simulate",
                      help="registered scenario backend to evaluate the grid "
                           "with (simulate or predict)")
-    cmd.add_argument("--execution", default="auto",
-                     choices=("auto", "engine", "replay", "steady"),
-                     help="simulation tier: 'auto' picks the fastest "
-                          "bit-identical tier (steady-state cycle-mean "
-                          "extrapolation for noise-free periodic traces, "
-                          "else trace replay, else the engine), 'engine' "
-                          "forces the per-event reference engine, 'replay' "
-                          "forces replay, 'steady' attempts the steady tier "
-                          "and falls back to replay when it refuses; all "
-                          "tiers are bit-identical (simulate backend only)")
     cmd.add_argument("--workers", type=int, default=1,
                      help="multiprocessing fan-out for the grid")
     cmd.add_argument("--cache-dir", default=None,
@@ -292,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--samples", type=int, default=0, metavar="S",
                      help="replay every grid point under S noise seeds in "
                           "one batched pass and report mean/std/CI95 "
-                          "(simulate backend, replay-capable execution)")
+                          "(simulate backend, modelled runs)")
     cmd.add_argument("--no-noise", action="store_true",
                      help="disable the machine's OS/network noise model "
                           "(deterministic modelled runs; required for the "
@@ -352,8 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ccmd.add_argument("--seed", type=int, default=0,
                       help="noise-seed offset (api.simulate's seed_offset)")
     ccmd.add_argument("--no-noise", action="store_true")
-    ccmd.add_argument("--execution", default="auto",
-                      choices=("auto", "engine", "replay", "steady"))
     ccmd.add_argument("--samples", type=int, default=0)
     ccmd = client_sub.add_parser(
         "submit", help="submit a study as a background job")
@@ -790,17 +777,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # backend takes PACE model variables plus one hardware object (weak
     # scaling: one profile serves every point).
     if args.backend == "simulate":
-        try:
-            backend = create_backend("simulate", machine=machine,
-                                     deck=args.deck,
-                                     max_iterations=args.iterations,
-                                     numeric=args.numeric,
-                                     execution=args.execution,
-                                     with_noise=not args.no_noise,
-                                     samples=args.samples)
-        except ExperimentError as exc:
-            print(exc)
-            return 2
+        backend = create_backend("simulate", machine=machine,
+                                 deck=args.deck,
+                                 max_iterations=args.iterations,
+                                 numeric=args.numeric,
+                                 with_noise=not args.no_noise,
+                                 samples=args.samples)
         sweep = simulation_grid(arrays, deck=args.deck)
     elif args.backend == "predict":
         if args.samples:
@@ -917,7 +899,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
                                        iterations=args.iterations,
                                        with_noise=not args.no_noise,
                                        seed=args.seed,
-                                       execution=args.execution,
                                        samples=args.samples)
             print(f"simulated time: {response.elapsed_time:.6f} s on "
                   f"{response.machine} ({response.px}x{response.py}, "
@@ -969,24 +950,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     command = args.command
-    study_commands = {"run": _cmd_run, "shard": _cmd_shard_plan,
-                      "merge": _cmd_merge, "fleet": _cmd_fleet}
-    if command in study_commands:
-        # Bad study names, spec files, overrides and manifests are input
-        # errors: one line and exit code 2, never a traceback.
+    checked_commands = {"run": _cmd_run, "shard": _cmd_shard_plan,
+                        "merge": _cmd_merge, "fleet": _cmd_fleet,
+                        "predict": _cmd_predict, "simulate": _cmd_simulate}
+    if command in checked_commands:
+        # Bad study names, spec files, overrides, manifests, machines and
+        # decks are input errors: one line and exit code 2, never a
+        # traceback.
         try:
-            return study_commands[command](args)
-        except ExperimentError as exc:
+            return checked_commands[command](args)
+        except (ExperimentError, Sweep3DError) as exc:
             print(f"{command} failed: {exc}")
             return 2
     if command == "studies":
         return _cmd_studies(args)
     if command == "cache":
         return _cmd_cache(args)
-    if command == "predict":
-        return _cmd_predict(args)
-    if command == "simulate":
-        return _cmd_simulate(args)
     if command == "machines":
         return _cmd_machines()
     if command == "hmcl":

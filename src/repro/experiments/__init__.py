@@ -21,7 +21,10 @@ analytic PACE pipeline, ``"simulate"`` the discrete-event SWEEP3D
 simulator.
 
 A run time comes in one of **four result shapes** — the middle two
-bit-identical to each other, so the shape never changes a number:
+bit-identical to each other, so the shape never changes a number.  The
+simulator picks among shapes 2-4 itself, from the run's numeric flag,
+noise and sample count
+(:meth:`~repro.sweep3d.driver.SimulationPlan.run`):
 
 1. **analytic** — the compiled PACE pipeline plus the LogGP/Hoisie
    comparison closed forms (:mod:`repro.analytic`) — chosen for
@@ -30,14 +33,16 @@ bit-identical to each other, so the shape never changes a number:
 2. **modelled** — the reference engine
    (:class:`~repro.simmpi.engine.ClusterEngine`), the per-event
    discrete-event ground truth and the only simulated shape for
-   ``numeric`` runs or timing-dependent patterns (chosen for those, or
-   on request via ``sim_execution="engine"``);
+   ``numeric`` runs, whose real payloads feed back into the event
+   pattern;
 3. **replayed** (:mod:`repro.simmpi.trace`): a modelled run's event
    pattern is recorded once per
    :class:`~repro.sweep3d.driver.SimulationPlan` and each run resolves
    as a vectorised max-plus recurrence — bit-identical to the engine at
-   matched noise seeds, ~10-25x faster, chosen automatically for
-   modelled scenarios (``sim_execution="auto"``, the default);
+   matched noise seeds, ~10-25x faster.  Noise-free periodic traces on a
+   dyadic timebase go through the steady-state tier
+   (:mod:`repro.simmpi.steady`) instead, O(period) rather than
+   O(events), bit-identical or loudly falling back to the full replay;
 4. **sampled** — the batched multi-seed replay
    (:meth:`~repro.simmpi.trace.CompiledTrace.replay_batch`): ``S``
    independently seeded noise streams advance through one max-plus pass
@@ -112,7 +117,6 @@ from repro.experiments.runner import (
     ValidationRowResult,
     ValidationTableResult,
     measure_rows,
-    run_validation_row,
 )
 from repro.experiments.backends import (
     Backend,
@@ -195,7 +199,6 @@ __all__ = [
     "ValidationRowResult",
     "ValidationTableResult",
     "measure_rows",
-    "run_validation_row",
     "Backend",
     "PredictionBackend",
     "SimMeasurement",

@@ -23,15 +23,16 @@ Two backends are registered:
     (topology validation, Cart2D decomposition, shared quadrature/blocking
     data, seeded noise) and re-executed across grid points; the
     block-pricing :class:`~repro.sweep3d.parallel.SweepCostTable` is shared
-    across every plan of the sweep.  Modelled (timing-only) scenarios are
-    executed by default as **trace replays**: the plan's event stream is
-    recorded once (:mod:`repro.simmpi.trace`) and each run resolves as a
-    vectorised max-plus recurrence instead of re-driving the rank
-    generators (``execution="engine"`` forces the per-event reference
-    path); noise-free periodic traces go one tier further through the
-    steady-state extrapolation (:mod:`repro.simmpi.steady`), O(period)
-    instead of O(events).  Results are bit-identical to hand-constructed per-point
-    :class:`~repro.simmpi.engine.ClusterEngine` runs in every mode, and
+    across every plan of the sweep.  Each plan picks its own execution
+    tier (:meth:`~repro.sweep3d.driver.SimulationPlan.run`): modelled
+    (timing-only) scenarios resolve as **trace replays** — the plan's
+    event stream is recorded once (:mod:`repro.simmpi.trace`) and each run
+    resolves as a vectorised max-plus recurrence instead of re-driving the
+    rank generators — and noise-free periodic traces go one tier further
+    through the steady-state extrapolation (:mod:`repro.simmpi.steady`),
+    O(period) instead of O(events); numeric scenarios run the per-event
+    engine.  Results are bit-identical to hand-constructed per-point
+    :class:`~repro.simmpi.engine.ClusterEngine` runs on every tier, and
     to themselves under any ``workers=N`` fan-out (each scenario derives
     its own noise seed from its identity, never from the worker that
     evaluates it).
@@ -342,21 +343,6 @@ class SimulationBackend:
     with_noise:
         Whether runs see the machine's OS/network noise model (the paper's
         "measurement"); ``False`` gives deterministic noise-free runs.
-    execution:
-        How each plan is executed: ``"auto"`` (default) picks the fastest
-        bit-identical tier — the steady-state tier
-        (:mod:`repro.simmpi.steady`) for noise-free modelled scenarios
-        whose trace it accepts, trace replay (:mod:`repro.simmpi.trace`)
-        for other modelled scenarios, and the reference engine for
-        numeric ones; ``"engine"`` forces the per-event
-        :class:`~repro.simmpi.engine.ClusterEngine` (the bit-for-bit
-        reference); ``"replay"`` forces trace replay (numeric scenarios
-        then raise :class:`~repro.errors.TraceError`); ``"steady"``
-        attempts the steady-state tier, falling back loudly to replay
-        when it refuses.  All modes produce bit-identical results, so
-        the disk-cache fingerprint does not depend on it; the tier that
-        actually ran is recorded per measurement
-        (:attr:`SimMeasurement.execution_tier`).
     samples:
         When ``> 0``, every scenario is resolved ``samples`` times in one
         batched replay (:meth:`~repro.sweep3d.driver.SimulationPlan.run`
@@ -364,8 +350,7 @@ class SimulationBackend:
         times plus mean/std/CI95 summary statistics.  Sample 0 uses the
         scenario's own seed, so ``elapsed_time`` is bit-identical to the
         ``samples=0`` run and the fingerprint only gains a component when
-        sampling is on (old cache keys stay valid).  Requires a
-        replay-capable execution mode (not ``"engine"``) and modelled
+        sampling is on (old cache keys stay valid).  Requires modelled
         (non-numeric) scenarios.
     trace_cache:
         Optional persistent trace cache
@@ -376,28 +361,17 @@ class SimulationBackend:
 
     name = "simulate"
 
-    _EXECUTION_MODES = ("auto", "engine", "replay", "steady")
-
     def __init__(self, machine, deck: str = "validation",
                  max_iterations: int = 12,
                  numeric: bool = False,
                  charge_compute: bool = True,
                  convergence_collectives: bool = True,
                  with_noise: bool = True,
-                 execution: str = "auto",
                  samples: int = 0,
                  trace_cache=None):
-        if execution not in self._EXECUTION_MODES:
-            raise ExperimentError(
-                f"unknown simulation execution mode {execution!r}; expected "
-                f"one of {list(self._EXECUTION_MODES)}")
         samples = int(samples)
         if samples < 0:
             raise ExperimentError("samples must be >= 0")
-        if samples and execution in ("engine", "steady"):
-            raise ExperimentError(
-                "multi-sample evaluation is resolved by batched trace "
-                f"replay and cannot use execution={execution!r}")
         if samples and numeric:
             raise ExperimentError(
                 "multi-sample evaluation needs modelled (non-numeric) "
@@ -409,7 +383,6 @@ class SimulationBackend:
         self.charge_compute = charge_compute
         self.convergence_collectives = convergence_collectives
         self.with_noise = with_noise
-        self.execution = execution
         self.samples = samples
         if trace_cache is not None and not hasattr(trace_cache, "get"):
             from repro.simmpi.tracecache import trace_cache_for
@@ -514,8 +487,7 @@ class SimulationExecutor:
         phases_before = plan.phases.snapshot()
         stats: dict[str, Any] = {}
         if backend.samples:
-            sample_set = plan.run(noise=noise, mode=backend.execution,
-                                  samples=backend.samples)
+            sample_set = plan.run(noise=noise, samples=backend.samples)
             # Sample 0 runs at the scenario's own seed: the headline
             # measurement is bit-identical to the samples=0 path.
             run = sample_set.sample(0)
@@ -527,7 +499,7 @@ class SimulationExecutor:
                 "elapsed_ci95": sample_set.elapsed_ci95,
             }
         else:
-            run = plan.run(noise=noise, mode=backend.execution)
+            run = plan.run(noise=noise)
         stats["execution_tier"] = getattr(plan, "last_execution", "") or ""
         for name, value in plan.phases.since(phases_before).items():
             stats[f"{name}_s"] = value
@@ -546,16 +518,6 @@ class SimulationExecutor:
             error_history=tuple(run.error_history),
             **stats,
         )
-
-    @property
-    def trace_replays(self) -> int:
-        """Evaluations served by trace replay instead of the engine."""
-        return sum(plan.replays for plan in self._plans.values())
-
-    @property
-    def steady_runs(self) -> int:
-        """Evaluations served by the steady-state tier."""
-        return sum(plan.steadies for plan in self._plans.values())
 
     def collect_stats(self) -> CacheStats:
         """Cache accounting mapped onto :class:`CacheStats`.

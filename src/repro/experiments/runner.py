@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import units
-from repro.core.evaluation import EvaluationEngine, PredictionResult
+from repro.core.evaluation import PredictionResult
 from repro.core.hmcl.model import HardwareModel
 from repro.core.workload import SweepWorkload
 from repro.experiments.backends import SimulationBackend
@@ -167,25 +167,11 @@ def predict_rows(machine: Machine, rows: Sequence[PaperValidationRow],
     ]
 
 
-def attach_measurement(machine: Machine, result: ValidationRowResult,
-                       max_iterations: int = 12,
-                       seed_offset: int | None = None) -> ValidationRowResult:
-    """Run the discrete-event "measurement" for a predicted row (in place)."""
-    row = result.paper_row
-    deck = deck_for_row(row, max_iterations=max_iterations)
-    offset = seed_offset if seed_offset is not None else row.pes
-    run = machine.simulate(deck, row.px, row.py, numeric=False,
-                           seed_offset=offset)
-    result.measured = run.elapsed_time
-    return result
-
-
 def measure_rows(machine: Machine, results: Sequence[ValidationRowResult],
                  max_iterations: int = 12,
                  workers: int = 1,
                  cache: SweepDiskCache | str | None = None,
                  context=None,
-                 execution: str = "auto",
                  samples: int = 0) -> list[ValidationRowResult]:
     """Attach the discrete-event measurements of a whole table as one sweep.
 
@@ -193,15 +179,12 @@ def measure_rows(machine: Machine, results: Sequence[ValidationRowResult],
     :class:`~repro.experiments.backends.SimulationBackend` — simulation
     plans, the compute cost table and (optionally) the disk-backed sweep
     cache are shared across every row, and ``workers > 1`` fans the grid
-    out over multiprocessing.  Each row keeps the per-row noise seed
-    :func:`attach_measurement` uses (``seed_offset = row.pes``), so the
-    measured values are bit-identical to the per-row path whatever the
-    worker count.  ``execution`` selects the simulation tier (``"auto"``:
-    trace replay for these modelled runs; ``"engine"``: the per-event
-    reference; both bit-identical).  ``samples > 0`` replays each row
-    under that many noise seeds in one batched max-plus pass and fills
-    the row's ``measured_*`` uncertainty fields; ``measured`` itself
-    stays the sample-0 value, bit-identical to ``samples=0``.
+    out over multiprocessing.  Each row pins its own noise seed offset
+    (``seed_offset = row.pes``), so the measured values are independent of
+    the worker count.  ``samples > 0`` replays each row under that many
+    noise seeds in one batched max-plus pass and fills the row's
+    ``measured_*`` uncertainty fields; ``measured`` itself stays the
+    sample-0 value, bit-identical to ``samples=0``.
     """
     from repro.experiments.study import ensure_context
     results = list(results)
@@ -209,7 +192,6 @@ def measure_rows(machine: Machine, results: Sequence[ValidationRowResult],
         return results
     backend = SimulationBackend(machine, deck="validation",
                                 max_iterations=max_iterations,
-                                execution=execution,
                                 samples=samples)
     sweep = ScenarioSweep([
         Scenario(label=f"measure {row.data_size} on {row.px}x{row.py}",
@@ -231,32 +213,3 @@ def measure_rows(machine: Machine, results: Sequence[ValidationRowResult],
                 result.measured_std = measurement.elapsed_std
                 result.measured_ci95 = measurement.elapsed_ci95
     return results
-
-
-def run_validation_row(machine: Machine, row: PaperValidationRow,
-                       engine: EvaluationEngine | None = None,
-                       simulate_measurement: bool = True,
-                       max_iterations: int = 12,
-                       seed_offset: int | None = None) -> ValidationRowResult:
-    """Reproduce one validation-table row on ``machine``.
-
-    ``engine`` may be supplied to reuse a prediction engine (and its HMCL
-    hardware model) across rows; otherwise the row is routed through
-    :func:`predict_rows` (a single-point sweep), building the hardware
-    model from the machine's profiling/benchmark campaigns.
-    """
-    if engine is not None:
-        deck = deck_for_row(row, max_iterations=max_iterations)
-        workload = SweepWorkload(deck, row.px, row.py)
-        prediction = engine.predict(workload.model_variables())
-        result = ValidationRowResult(
-            data_size=row.data_size, pes=row.pes, px=row.px, py=row.py,
-            predicted=prediction.total_time, paper_row=row,
-            prediction_detail=prediction)
-    else:
-        result = predict_rows(machine, [row], max_iterations=max_iterations)[0]
-
-    if simulate_measurement:
-        attach_measurement(machine, result, max_iterations=max_iterations,
-                           seed_offset=seed_offset)
-    return result

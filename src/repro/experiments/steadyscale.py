@@ -86,7 +86,6 @@ class SteadyScalingResult:
     """The steady-scaling study's payload."""
 
     machine_name: str
-    sim_execution: str
     rows: list[SteadyScaleRow] = field(default_factory=list)
 
     def tiers(self) -> dict[str, int]:
@@ -101,8 +100,7 @@ class SteadyScalingResult:
         tiers = ", ".join(f"{count} x {tier}"
                           for tier, count in sorted(self.tiers().items()))
         largest = max(self.rows, key=lambda row: row.cells, default=None)
-        lines = [f"steady-scaling on {self.machine_name} "
-                 f"(execution={self.sim_execution}): "
+        lines = [f"steady-scaling on {self.machine_name}: "
                  f"{len(self.rows)} configuration(s), tiers: {tiers or 'none'}"]
         if largest is not None:
             lines.append(
@@ -160,17 +158,14 @@ def steady_scaling_scenarios(params) -> list[Scenario]:
 
 def _run_steady_scaling_impl(machine, params, workers,
                              context) -> SteadyScalingResult:
-    execution = str(params["sim_execution"])
     # Noise is hardcoded off: the steady tier refuses noisy traces (their
     # draws are per-event), and this study measures the deterministic
     # modelled prediction.
     backend = SimulationBackend(machine, deck="validation",
-                                numeric=False, with_noise=False,
-                                execution=execution)
+                                numeric=False, with_noise=False)
     runner = context.backend_runner(backend, workers=workers)
     scenarios = steady_scaling_scenarios(params)
-    result = SteadyScalingResult(machine_name=machine.name,
-                                 sim_execution=execution)
+    result = SteadyScalingResult(machine_name=machine.name)
     for scenario, outcome in zip(scenarios, runner.run(ScenarioSweep(scenarios))):
         measurement = outcome.result
         variables = scenario.variables
@@ -221,8 +216,7 @@ def _register() -> None:
         defaults={"processor_counts": (1, 4, 16, 64, 256),
                   "iteration_counts": (12, 100),
                   "cells_per_processor": (200, 200, 100),
-                  "mk": 10, "mmi": 3,
-                  "sim_execution": "auto"},
+                  "mk": 10, "mmi": 3},
         smoke={"processor_counts": (1, 4), "iteration_counts": (10,),
                "cells_per_processor": (5, 5, 50)},
         tabulate=_tabulate_steady,

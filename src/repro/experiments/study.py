@@ -609,8 +609,8 @@ class StudyResult:
     disk_stats: DiskCacheStats = field(default_factory=DiskCacheStats)
     #: Scenario counts per simulation execution tier
     #: (``{"steady": 12, "replay": 3, ...}``) — how many of this study's
-    #: measurements each tier produced, so ``sim_execution="auto"``
-    #: decisions are auditable from the artifact.  Empty for prediction
+    #: measurements each tier produced, so the simulator's tier choices
+    #: are auditable from the artifact.  Empty for prediction
     #: studies.
     execution: dict[str, int] = field(default_factory=dict)
     #: Host seconds per simulation execution phase (``{"capture": 1.9,
@@ -974,24 +974,18 @@ def _table_executor(table_name: str, spec: StudySpec, context: StudyContext):
         cache=context.cache,
         machine=spec.machine,
         context=context,
-        sim_execution=params["sim_execution"],
         samples=params["samples"],
     )
 
 
 #: ``rows`` selects a subset of the published table by row index (the
 #: shard axis of the table studies); ``None`` runs every published row.
-#: ``sim_execution`` selects the simulation tier of the measurement grid
-#: ("auto": trace replay for modelled runs; "engine": the per-event
-#: reference; "replay": force replay) — all tiers are bit-identical, so
-#: the choice never changes a result, only its cost.  ``samples > 0``
-#: replays every measurement under that many noise seeds in one batched
-#: max-plus pass and adds uncertainty columns; the default 0 keeps the
-#: historical schema (and existing spec hashes, since default-equal
-#: parameters are dropped by :func:`build_spec`).
+#: ``samples > 0`` replays every measurement under that many noise seeds
+#: in one batched max-plus pass and adds uncertainty columns; the default
+#: 0 keeps the historical schema (and existing spec hashes, since
+#: default-equal parameters are dropped by :func:`build_spec`).
 _TABLE_DEFAULTS = {"simulate_measurement": True, "max_iterations": 12,
-                   "max_pes": None, "rows": None, "sim_execution": "auto",
-                   "samples": 0}
+                   "max_pes": None, "rows": None, "samples": 0}
 _TABLE_SMOKE = {"max_pes": 6, "max_iterations": 1}
 
 

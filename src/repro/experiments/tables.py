@@ -32,7 +32,6 @@ def _run_table_impl(table_name: str,
                     cache: SweepDiskCache | str | None = None,
                     machine: Machine | str | None = None,
                     context=None,
-                    sim_execution: str = "auto",
                     samples: int = 0) -> ValidationTableResult:
     """The direct implementation behind the ``table1``-``table3`` studies."""
     if table_name not in PAPER_TABLES:
@@ -64,8 +63,7 @@ def _run_table_impl(table_name: str,
         result.rows = measure_rows(machine, result.rows,
                                    max_iterations=max_iterations,
                                    workers=workers, cache=cache,
-                                   context=context, execution=sim_execution,
-                                   samples=samples)
+                                   context=context, samples=samples)
     return result
 
 

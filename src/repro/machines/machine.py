@@ -12,7 +12,7 @@ from repro.simnet.link import LinkModel, QuantizedLink
 from repro.simnet.noise import NoiseModel
 from repro.simnet.topology import ClusterTopology
 from repro.simproc.processor import ProcessorModel, QuantizedProcessor
-from repro.sweep3d.driver import SimulationPlan, Sweep3DRunResult, run_parallel_sweep
+from repro.sweep3d.driver import SimulationPlan, Sweep3DRunResult, Sweep3DSampleSet
 from repro.sweep3d.input import Sweep3DInput
 from repro.sweep3d.parallel import SweepCostTable
 
@@ -148,38 +148,26 @@ class Machine:
     def simulate(self, deck: Sweep3DInput, px: int, py: int,
                  numeric: bool = False, seed_offset: int = 0,
                  with_noise: bool = True,
-                 execution: str = "engine",
-                 samples: int | None = None,
-                 trace_cache=None) -> Sweep3DRunResult:
+                 samples: int | None = None) -> Sweep3DRunResult | Sweep3DSampleSet:
         """Execute the parallel sweep on the discrete-event simulator.
 
         This produces the "Measurement" column of the validation tables.
-        ``execution`` selects the tier: ``"engine"`` (default) is the
-        per-point reference path; ``"replay"``/``"auto"`` lower the
-        configuration into a :class:`~repro.sweep3d.driver.SimulationPlan`
-        and resolve the run from its compiled trace
-        (:mod:`repro.simmpi.trace`), bit-identically.  ``samples`` (with a
-        replay-capable ``execution``) draws that many noise seeds in one
-        batched replay and returns a
+        The configuration is lowered once into a memoised
+        :class:`~repro.sweep3d.driver.SimulationPlan`, whose
+        :meth:`~repro.sweep3d.driver.SimulationPlan.run` picks the fastest
+        bit-identical tier.  ``samples`` draws that many noise seeds in
+        one batched replay and returns a
         :class:`~repro.sweep3d.driver.Sweep3DSampleSet` instead; sample 0
         uses ``seed_offset``'s own noise stream, so its run is
         bit-identical to the single-run path.
         """
         noise = self.noise_model(seed_offset) if with_noise else NoiseModel.disabled()
-        if execution != "engine" or samples:
-            key = (deck, px, py, numeric)
-            plan = self._plan_cache.get(key)
-            if plan is None:
-                plan = self._plan_cache[key] = self.simulation_plan(
-                    deck, px, py, numeric=numeric, trace_cache=trace_cache)
-            elif plan.trace_cache is None and trace_cache is not None:
-                # A cached plan built without a trace cache can still adopt
-                # one — the cache only affects where the trace comes from.
-                plan.trace_cache = trace_cache
-            return plan.run(noise=noise, mode=execution, samples=samples)
-        return run_parallel_sweep(deck, px, py, topology=self.topology,
-                                  processor=self.processor, noise=noise,
-                                  numeric=numeric)
+        key = (deck, px, py, numeric)
+        plan = self._plan_cache.get(key)
+        if plan is None:
+            plan = self._plan_cache[key] = self.simulation_plan(
+                deck, px, py, numeric=numeric)
+        return plan.run(noise=noise, samples=samples)
 
     def simulation_plan(self, deck: Sweep3DInput, px: int, py: int,
                         numeric: bool = False,

@@ -91,13 +91,12 @@ class ServiceClient:
     def simulate(self, machine: str, px: int, py: int,
                  deck: str = "validation", iterations: int = 12,
                  with_noise: bool = True, seed: int = 0,
-                 execution: str = "auto",
                  samples: int = 0) -> SimulateResponse:
         return self._request(
             "POST", "/v1/simulate",
             SimulateRequest(machine=machine, px=px, py=py, deck=deck,
                             iterations=iterations, with_noise=with_noise,
-                            seed=seed, execution=execution, samples=samples))
+                            seed=seed, samples=samples))
 
     def submit_study(self, spec: Any, smoke: bool = False) -> JobStatusResponse:
         """Submit a study name, spec mapping or ``StudySpec``."""

@@ -72,8 +72,6 @@ from repro.service.protocol import (
     StudySubmitRequest,
 )
 
-_EXECUTION_MODES = ("auto", "engine", "replay", "steady")
-
 
 class ResultLRU:
     """A bounded least-recently-used map over scenario results.
@@ -205,18 +203,10 @@ class PredictionService:
         self._check_geometry(request.px, request.py, request.iterations)
         self._check_deck(request.deck, request.px, request.py,
                          request.iterations)
-        execution = request.execution
-        if execution not in _EXECUTION_MODES:
-            raise ServiceError(
-                f"unknown execution mode {execution!r}; expected one of "
-                f"{list(_EXECUTION_MODES)}")
         if request.samples < 0:
             raise ServiceError("samples must be >= 0")
-        if request.samples and execution == "engine":
-            # Mirrors api.simulate: sampled runs are replay-resolved.
-            execution = "auto"
         group = ("simulate", machine.name, request.deck, request.iterations,
-                 request.with_noise, execution, request.samples)
+                 request.with_noise, request.samples)
         key = group + (request.px, request.py, request.seed)
         cached = self.lru.get(key)
         if cached is not None:
@@ -373,12 +363,11 @@ class PredictionService:
         if group[0] == "predict":
             backend = PredictionBackend(compiled=self.context.compiled_model())
         else:
-            _, machine_name, deck, iterations, with_noise, execution, \
-                samples = group
+            _, machine_name, deck, iterations, with_noise, samples = group
             backend = SimulationBackend(
                 machine=self.context.machine(machine_name), deck=deck,
                 max_iterations=iterations, with_noise=with_noise,
-                execution=execution, samples=samples)
+                samples=samples)
         runner = SweepRunner(backend=backend, workers=1, cache=self.cache)
         self._runners[group] = runner
         return runner

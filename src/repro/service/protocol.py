@@ -81,7 +81,6 @@ class SimulateRequest:
     iterations: int = 12
     with_noise: bool = True
     seed: int = 0
-    execution: str = "auto"
     samples: int = 0
 
 

@@ -475,7 +475,6 @@ def steady_replay(trace: "CompiledTrace",
         bytes_received=trace._bytes_received[rank],
     ) for rank in range(nranks)]
     elapsed = max((r.finish_time for r in ranks), default=0.0)
-    trace.steady_replays += 1
     return SimulationResult(nranks=nranks, ranks=ranks,
                             elapsed_time=elapsed,
                             traffic=_copy_traffic(trace._traffic))

@@ -509,11 +509,6 @@ class CompiledTrace:
         self.event_peer = event_peer
         self.event_tag = event_tag
         self.event_nbytes = event_nbytes
-        #: Number of times :meth:`replay` has run.
-        self.replays = 0
-        #: Number of runs resolved by the steady-state tier
-        #: (:func:`repro.simmpi.steady.steady_replay`).
-        self.steady_replays = 0
         #: Period/exactness analysis memo, owned by
         #: :mod:`repro.simmpi.steady` (pattern-level, noise-independent).
         self._steady_cache: Any = None
@@ -659,7 +654,6 @@ class CompiledTrace:
             bytes_received=self._bytes_received[rank],
         ) for rank in range(nranks)]
         elapsed = max((r.finish_time for r in ranks), default=0.0)
-        self.replays += 1
         return SimulationResult(nranks=nranks, ranks=ranks,
                                 elapsed_time=elapsed,
                                 traffic=_copy_traffic(self._traffic))
@@ -798,7 +792,6 @@ class CompiledTrace:
             else:
                 comm[rank] = 0.0
         elapsed = clock.max(axis=0)
-        self.replays += n_samples
         return BatchReplayResult(self, seeds, elapsed, clock, compute, comm)
 
 

@@ -4,8 +4,8 @@ Two parallel entry points live here:
 
 * :func:`run_parallel_sweep` — the original per-point path: one fresh
   :class:`~repro.simmpi.engine.ClusterEngine`, decomposition, quadrature and
-  per-block operation-mix pricing per call.  It is the bit-for-bit reference
-  the batched path is verified against.
+  per-block operation-mix pricing per call.  It is kept as the fresh-engine
+  test oracle the plan is verified against.
 * :class:`SimulationPlan` — the reusable lowering of one (deck, px, py,
   machine) configuration: topology validation, Cart2D decomposition,
   shared per-deck data and the memoised compute cost table are built once,
@@ -16,16 +16,17 @@ Two parallel entry points live here:
 
 A plan additionally supports **trace replay** for modelled (timing-only)
 runs: :meth:`SimulationPlan.compile_trace` records the plan's event
-stream once (:mod:`repro.simmpi.trace`) and ``run(mode="replay")``
-resolves each run as a vectorised max-plus recurrence over that trace —
-bit-identical to the engine at matched noise seeds, an order of
-magnitude faster per run.  ``mode="steady"`` goes one tier further for
-periodic noise-free traces on a dyadic timebase: the steady-state tier
-(:mod:`repro.simmpi.steady`) extrapolates the repeating regime in
-O(period) instead of O(events), bit-identical or loudly falling back to
-the full replay.  ``mode="auto"`` picks the fastest applicable tier:
-steady for noise-free modelled runs (when it accepts), replay for other
-modelled runs, the engine for numeric ones.
+stream once (:mod:`repro.simmpi.trace`) and each run resolves as a
+vectorised max-plus recurrence over that trace — bit-identical to the
+engine at matched noise seeds, an order of magnitude faster per run.
+Periodic noise-free traces on a dyadic timebase go one tier further:
+the steady-state tier (:mod:`repro.simmpi.steady`) extrapolates the
+repeating regime in O(period) instead of O(events), bit-identical or
+loudly falling back to the full replay.  :meth:`SimulationPlan.run`
+picks the tier itself from what decides it — numeric payloads, noise
+and the sample count — so every caller gets the fastest bit-identical
+tier; :meth:`SimulationPlan.run_engine` is the reference engine those
+tiers are checked against.
 """
 
 from __future__ import annotations
@@ -123,11 +124,12 @@ class Sweep3DRunResult:
 class Sweep3DSampleSet:
     """``S`` noisy samples of one plan, produced by a single batched replay.
 
-    Sample ``s`` is bit-identical to ``plan.run(noise=noise, seed=seeds[s],
-    mode="replay")`` (and therefore to the reference engine at the same
-    seed); :meth:`sample` materialises it as a full
-    :class:`Sweep3DRunResult` on demand.  Summary statistics delegate to
-    the underlying :class:`~repro.simmpi.trace.BatchReplayResult`.
+    Sample ``s`` is bit-identical to the single noisy run
+    ``plan.run(noise=noise, seed=seeds[s])`` (and therefore to the
+    reference engine at the same seed); :meth:`sample` materialises it as
+    a full :class:`Sweep3DRunResult` on demand.  Summary statistics
+    delegate to the underlying
+    :class:`~repro.simmpi.trace.BatchReplayResult`.
     """
 
     deck: Sweep3DInput
@@ -297,12 +299,6 @@ class SimulationPlan:
         else:
             self.costs = None
         self.engine = ClusterEngine(topology, processor=processor)
-        #: Number of times this plan has been executed.
-        self.runs = 0
-        #: Number of runs served by trace replay (vs the reference engine).
-        self.replays = 0
-        #: Number of runs served by the steady-state tier.
-        self.steadies = 0
         #: Execution tier of the most recent run: "engine", "replay" or
         #: "steady" (None before the first run).
         self.last_execution: str | None = None
@@ -505,7 +501,6 @@ class SimulationPlan:
 
     def run(self, noise: NoiseModel | None = None,
             seed: int | None = None,
-            mode: str = "engine",
             samples: int | None = None
             ) -> Sweep3DRunResult | Sweep3DSampleSet:
         """Execute the plan once — or ``samples`` times in one batch.
@@ -513,86 +508,89 @@ class SimulationPlan:
         ``noise`` defaults to a disabled (deterministic) model; passing
         ``seed`` instead reseeds a copy of ``noise`` so that every scenario
         of a sweep owns an independent, reproducible stream.  The noise is
-        passed to the engine per run — a shared plan carries no cross-run
-        mutable state.
+        passed to the executing tier per run — a shared plan carries no
+        cross-run mutable state.
 
-        ``mode`` selects the execution tier: ``"engine"`` (default) runs
-        the reference :class:`~repro.simmpi.engine.ClusterEngine`;
-        ``"replay"`` resolves the run from the compiled trace
-        (:meth:`compile_trace`), bit-identically; ``"steady"`` asks the
-        steady-state tier (:mod:`repro.simmpi.steady`) to resolve the
-        periodic regime in O(period) — bit-identical when it accepts,
-        falling back to the full replay (with the reason recorded in
-        :attr:`last_steady_refusal`) when it refuses; ``"auto"`` picks
-        the fastest applicable tier — steady for noise-free modelled
-        runs, replay for noisy modelled runs, the engine for numeric
-        ones.  :attr:`last_execution` records which tier produced the
-        most recent result.
+        The plan picks the execution tier itself; every tier is
+        bit-identical to the reference engine, so the choice only changes
+        the cost:
 
-        With ``samples=S`` the plan resolves ``S`` independently seeded
-        noisy runs in **one** batched max-plus pass
-        (:meth:`~repro.simmpi.trace.CompiledTrace.replay_batch`) and
-        returns a :class:`Sweep3DSampleSet`.  Sample ``s`` uses seed
-        ``base + s`` — ``base`` being ``seed`` if given, else
-        ``noise.seed`` — and is bit-identical to the single run at that
-        seed.  Multi-sample runs are replay-only: ``mode`` must be
-        ``"replay"`` or ``"auto"``, and numeric plans raise
-        :class:`~repro.errors.TraceError`.
+        * a numeric plan runs the reference engine (:meth:`run_engine`):
+          its real payloads feed back into the event pattern, so it cannot
+          be trace-compiled;
+        * ``samples=S`` resolves ``S`` independently seeded noisy runs in
+          **one** batched max-plus pass
+          (:meth:`~repro.simmpi.trace.CompiledTrace.replay_batch`) and
+          returns a :class:`Sweep3DSampleSet`.  Sample ``s`` uses seed
+          ``base + s`` — ``base`` being ``seed`` if given, else
+          ``noise.seed`` — and is bit-identical to the single run at that
+          seed.  Numeric plans raise :class:`~repro.errors.TraceError`;
+        * a noise-free modelled run asks the steady-state tier
+          (:mod:`repro.simmpi.steady`) to resolve the periodic regime in
+          O(period), falling back to the full trace replay — with the
+          reason in :attr:`last_steady_refusal` — when it refuses;
+        * a noisy modelled run is a trace replay (:meth:`compile_trace`):
+          its draws are per event, so it has no repeating period for the
+          steady tier to extrapolate.
+
+        :attr:`last_execution` records which tier produced the result.
         """
-        if mode not in ("engine", "replay", "auto", "steady"):
-            raise ValueError(
-                f"unknown simulation mode {mode!r}; expected 'engine', "
-                "'replay', 'steady' or 'auto'")
-        if noise is None:
-            noise = NoiseModel.disabled()
-        if seed is not None:
-            noise = noise.reseeded(seed)
+        noise = self._noise(noise, seed)
         self.last_steady_refusal = None
         if samples is not None:
             if samples < 1:
                 raise ValueError("samples must be >= 1")
-            if mode in ("engine", "steady"):
-                raise ValueError(
-                    "multi-sample runs are resolved by batched trace "
-                    "replay; use mode='replay' or 'auto'")
             seeds = [noise.seed + offset for offset in range(samples)]
             trace = self.compile_trace()
             with self.phases.phase("replay"):
                 batch = trace.replay_batch(seeds, noise)
-            self.replays += samples
-            self.runs += samples
             self.last_execution = "replay"
             return Sweep3DSampleSet(deck=self.deck, px=self.px, py=self.py,
                                     batch=batch)
-        if mode in ("replay", "steady") or (mode == "auto"
-                                            and not self.config.numeric):
-            trace = self.compile_trace()
-            simulation = None
-            # "auto" only *attempts* steady when noise is off — a noisy
-            # run has no repeating period, so the attempt would always
-            # refuse and the O(events) scan would be wasted.
-            if mode == "steady" or (mode == "auto" and noise.is_disabled()):
-                try:
-                    with self.phases.phase("steady"):
-                        simulation = steady_replay(trace, noise)
-                    self.steadies += 1
-                    self.last_execution = "steady"
-                except SteadyStateError as exc:
-                    self.last_steady_refusal = str(exc)
-            if simulation is None:
-                with self.phases.phase("replay"):
-                    simulation = trace.replay(noise)
-                self.replays += 1
-                self.last_execution = "replay"
-        else:
-            with self.phases.phase("engine"):
-                simulation = self.engine.run(
-                    sweep_rank_program, nranks=self.decomp.nranks,
-                    program_args=(self.deck, self.decomp, self.config),
-                    program_kwargs={"costs": self.costs, "shared": self.shared},
-                    noise=noise)
-            self.last_execution = "engine"
-        self.runs += 1
-        summaries = [value for value in simulation.return_values]
+        if self.config.numeric:
+            return self.run_engine(noise)
+        trace = self.compile_trace()
+        simulation = None
+        if noise.is_disabled():
+            try:
+                with self.phases.phase("steady"):
+                    simulation = steady_replay(trace, noise)
+                self.last_execution = "steady"
+            except SteadyStateError as exc:
+                self.last_steady_refusal = str(exc)
+        if simulation is None:
+            with self.phases.phase("replay"):
+                simulation = trace.replay(noise)
+            self.last_execution = "replay"
+        return self._result(simulation)
+
+    def run_engine(self, noise: NoiseModel | None = None,
+                   seed: int | None = None) -> Sweep3DRunResult:
+        """Execute the plan once on the reference :class:`ClusterEngine`.
+
+        The per-event engine is the tier :meth:`run` uses for numeric
+        plans and the bit-for-bit reference every faster tier is checked
+        against.  ``noise`` and ``seed`` mean what they mean for
+        :meth:`run`.
+        """
+        noise = self._noise(noise, seed)
+        self.last_steady_refusal = None
+        with self.phases.phase("engine"):
+            simulation = self.engine.run(
+                sweep_rank_program, nranks=self.decomp.nranks,
+                program_args=(self.deck, self.decomp, self.config),
+                program_kwargs={"costs": self.costs, "shared": self.shared},
+                noise=noise)
+        self.last_execution = "engine"
+        return self._result(simulation)
+
+    @staticmethod
+    def _noise(noise: NoiseModel | None, seed: int | None) -> NoiseModel:
+        if noise is None:
+            noise = NoiseModel.disabled()
+        return noise if seed is None else noise.reseeded(seed)
+
+    def _result(self, simulation: SimulationResult) -> Sweep3DRunResult:
         return Sweep3DRunResult(deck=self.deck, px=self.px, py=self.py,
-                                simulation=simulation, rank_summaries=summaries)
+                                simulation=simulation,
+                                rank_summaries=list(simulation.return_values))

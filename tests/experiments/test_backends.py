@@ -15,6 +15,7 @@ from repro.experiments.backends import (
 from repro.experiments.sweep import Scenario, SweepRunner
 from repro.machines.presets import get_machine
 from repro.simnet.noise import derive_seed
+from repro.sweep3d.driver import run_parallel_sweep
 from repro.sweep3d.input import standard_deck
 
 
@@ -52,8 +53,10 @@ class TestSimulationBackend:
             result = outcome.result
             deck = standard_deck("validation", px=result.px, py=result.py,
                                  max_iterations=2)
-            reference = p3_machine.simulate(deck, result.px, result.py,
-                                            seed_offset=result.seed_offset)
+            reference = run_parallel_sweep(
+                deck, result.px, result.py, topology=p3_machine.topology,
+                processor=p3_machine.processor,
+                noise=p3_machine.noise_model(result.seed_offset))
             assert result.elapsed_time == reference.elapsed_time
             assert result.rank_finish_times == tuple(
                 r.finish_time for r in reference.simulation.ranks)
@@ -102,34 +105,19 @@ class TestSimulationBackend:
         assert stats.flow_hits == 1                # ... reused once
         assert stats.subtask_hits > stats.subtask_misses > 0   # cost table
 
-    def test_execution_modes_are_bit_identical(self, p3_machine):
-        """auto (trace replay) == forced engine == forced replay."""
-        grid = simulation_grid([(2, 2), (2, 3)])
-        by_mode = {}
-        for mode in ("auto", "engine", "replay"):
-            outcomes = SweepRunner(
-                backend=sim_backend(p3_machine, execution=mode)).run(grid)
-            by_mode[mode] = [(o.result.elapsed_time,
-                              o.result.rank_finish_times,
-                              o.result.total_messages,
-                              o.result.total_bytes,
-                              o.result.compute_fraction) for o in outcomes]
-        assert by_mode["auto"] == by_mode["engine"] == by_mode["replay"]
-
-    def test_auto_mode_serves_modelled_scenarios_from_replay(self, p3_machine):
-        backend = sim_backend(p3_machine)          # execution defaults to auto
-        executor = backend.compile()
+    def test_modelled_scenarios_are_served_from_replay(self, p3_machine):
+        runner = SweepRunner(backend=sim_backend(p3_machine))
         grid = list(simulation_grid([(2, 2)]))
-        for scenario in grid + grid:
-            executor.evaluate(scenario)
-        assert executor.trace_replays == 2
-        forced = sim_backend(p3_machine, execution="engine").compile()
-        forced.evaluate(grid[0])
-        assert forced.trace_replays == 0
+        outcomes = runner.run(grid + grid)
+        assert [o.result.execution_tier for o in outcomes] == ["replay"] * 2
+        assert runner.execution_counts == {"replay": 2}
 
-    def test_unknown_execution_mode_rejected(self, p3_machine):
-        with pytest.raises(ExperimentError, match="execution mode"):
-            sim_backend(p3_machine, execution="warp")
+    def test_numeric_scenarios_run_on_the_engine(self, p3_machine):
+        backend = sim_backend(p3_machine, deck="mini", max_iterations=1,
+                              numeric=True)
+        outcome = SweepRunner(backend=backend).run(
+            simulation_grid([(1, 2)]))[0]
+        assert outcome.result.execution_tier == "engine"
 
     def test_missing_px_py_rejected(self, p3_machine):
         runner = SweepRunner(backend=sim_backend(p3_machine))
@@ -218,8 +206,6 @@ class TestSampledSimulationBackend:
     def test_invalid_sample_configurations_rejected(self, p3_machine):
         with pytest.raises(ExperimentError, match="samples"):
             sim_backend(p3_machine, samples=-1)
-        with pytest.raises(ExperimentError, match="batched trace replay"):
-            sim_backend(p3_machine, execution="engine", samples=2)
         with pytest.raises(ExperimentError, match="numeric"):
             sim_backend(p3_machine, numeric=True, samples=2)
 

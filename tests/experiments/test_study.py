@@ -314,15 +314,21 @@ class TestExecutionTierAccounting:
         assert merged.execution == steady_smoke.execution
         assert merged.rows == steady_smoke.rows
 
-    def test_forced_engine_execution_is_bit_identical(self, steady_smoke):
-        engine = run_study(build_spec("steady-scaling",
-                                      sim_execution="engine").smoke())
+    def test_forced_engine_execution_is_bit_identical(self, steady_smoke,
+                                                      monkeypatch):
+        from repro.sweep3d.driver import SimulationPlan
+
+        # Substitute the reference engine for whatever tier a plan picks.
+        monkeypatch.setattr(
+            SimulationPlan, "run",
+            lambda plan, noise=None, seed=None: plan.run_engine(noise, seed))
+        engine = run_study(build_spec("steady-scaling").smoke())
         assert engine.execution == {"engine": 2}
         assert engine.rows == steady_smoke.rows
 
     def test_table_studies_report_replay_tier(self):
         result = run_study(build_spec("table2", max_pes=6, max_iterations=1))
-        # The validation tables run noisy measurements: the steady tier
-        # refuses them and the auto mode serves every scenario by replay.
+        # The validation tables run noisy measurements, which the plan
+        # serves by replay without attempting the steady tier.
         assert set(result.execution) == {"replay"}
         assert sum(result.execution.values()) > 0

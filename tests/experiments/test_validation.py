@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.paper_data import TABLE2_ROWS
-from repro.experiments.runner import deck_for_row, run_validation_row
+from repro.experiments.runner import deck_for_row, measure_rows, predict_rows
 from repro.experiments.study import build_spec, run_study
 from repro.experiments.tables import validation_row_for
 
@@ -22,7 +22,7 @@ class TestRunner:
 
     def test_prediction_only_row(self, opteron_machine):
         row = TABLE2_ROWS[0]
-        result = run_validation_row(opteron_machine, row, simulate_measurement=False)
+        result = predict_rows(opteron_machine, [row])[0]
         assert result.measured is None
         assert result.error_pct is None
         assert result.predicted > 0
@@ -32,17 +32,16 @@ class TestRunner:
 
     def test_row_with_measurement_and_error(self, opteron_machine):
         row = TABLE2_ROWS[0]
-        result = run_validation_row(opteron_machine, row, max_iterations=4)
+        predicted = predict_rows(opteron_machine, [row], max_iterations=4)
+        result = measure_rows(opteron_machine, predicted, max_iterations=4)[0]
         assert result.measured is not None and result.measured > 0
         assert result.error_pct is not None
         assert abs(result.error_pct) < 10.0
 
     def test_iteration_scaling(self, opteron_machine):
         row = TABLE2_ROWS[0]
-        short = run_validation_row(opteron_machine, row, simulate_measurement=False,
-                                   max_iterations=3)
-        full = run_validation_row(opteron_machine, row, simulate_measurement=False,
-                                  max_iterations=12)
+        short = predict_rows(opteron_machine, [row], max_iterations=3)[0]
+        full = predict_rows(opteron_machine, [row], max_iterations=12)[0]
         assert full.predicted == pytest.approx(4 * short.predicted, rel=1e-6)
 
 

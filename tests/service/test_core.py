@@ -146,14 +146,6 @@ class TestDiskTier:
 
 
 class TestValidation:
-    def test_unknown_execution_mode_rejected(self):
-        async def main(service):
-            with pytest.raises(ServiceError, match="execution mode"):
-                await service.simulate(SimulateRequest(
-                    machine=MACHINE, px=2, py=2, execution="warp"))
-
-        run_with_service(main)
-
     def test_geometry_must_be_positive_integers(self):
         async def main(service):
             with pytest.raises(ServiceError, match="'px'"):

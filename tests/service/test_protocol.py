@@ -37,7 +37,7 @@ REQUESTS = [
     PredictRequest(machine="pentium3-myrinet", px=2, py=3),
     PredictRequest(machine="opteron", px=1, py=1, deck="mini", iterations=4),
     SimulateRequest(machine="pentium3", px=2, py=2, seed=7, samples=3,
-                    execution="replay", with_noise=False),
+                    with_noise=False),
     StudySubmitRequest(spec="table1"),
     StudySubmitRequest(spec={"study": "table1", "params": {"max_pes": 4}},
                        smoke=True),
@@ -115,6 +115,13 @@ class TestValidation:
     def test_rejects_unknown_field(self):
         wire = encode(PredictRequest(machine="m", px=1, py=1))
         wire["surprise"] = True
+        with pytest.raises(ProtocolError, match="unexpected field"):
+            decode_request(wire)
+
+    def test_rejects_simulation_tier_field(self):
+        # The simulator picks its own tier; a client cannot choose one.
+        wire = encode(SimulateRequest(machine="m", px=1, py=1))
+        wire["execution"] = "engine"
         with pytest.raises(ProtocolError, match="unexpected field"):
             decode_request(wire)
 

@@ -122,14 +122,14 @@ def test_steady_scaling_deck_shape_captures_and_runs_steady(machine):
     deck = Sweep3DInput(it=200 * px, jt=200 * py, kt=100, mk=10, mmi=3,
                         sn=6, max_iterations=12)
     plan = make_plan(machine, deck, px, py)
-    result = plan.run(mode="auto")
+    result = plan.run()
     assert plan.last_capture.mode == "periodic", plan.last_capture.reason
     assert plan.last_capture.short_iterations == MIN_REPEATS + 1
     assert plan.last_execution == "steady"
     trace = plan.compile_trace()
     assert 20_000 < trace.n_events < 26_000
     assert_traces_identical(trace, plan._record_trace(deck))
-    engine = make_plan(machine, deck, px, py).run(mode="engine")
+    engine = make_plan(machine, deck, px, py).run_engine()
     assert result_key(result.simulation) == result_key(engine.simulation)
     assert result.rank_summaries == engine.rank_summaries
 
@@ -138,7 +138,7 @@ def test_steady_tier_accepts_tiled_trace(machine):
     deck = Sweep3DInput(it=12, jt=12, kt=10, mk=5, mmi=3, sn=6,
                         max_iterations=24)
     plan = make_plan(machine, deck, 2, 2)
-    result = plan.run(mode="steady")
+    result = plan.run()
     assert plan.last_capture.mode == "periodic"
     assert plan.last_execution == "steady"
     reference = make_plan(machine, deck, 2, 2)
@@ -152,9 +152,10 @@ def test_engine_cross_check_at_matched_seed(machine):
     plan = make_plan(machine, deck, 1, 2)
     assert plan.compile_trace() is plan.compile_trace()  # cached on plan
     assert plan.last_capture.mode == "periodic"
-    replayed = plan.run(noise=NoiseModel(seed=11), mode="replay")
-    engine = make_plan(machine, deck, 1, 2).run(noise=NoiseModel(seed=11),
-                                                mode="engine")
+    replayed = plan.run(noise=NoiseModel(seed=11))
+    assert plan.last_execution == "replay"
+    engine = make_plan(machine, deck, 1, 2).run_engine(
+        noise=NoiseModel(seed=11))
     assert replayed.elapsed_time == engine.elapsed_time
     assert replayed.rank_summaries == engine.rank_summaries
 

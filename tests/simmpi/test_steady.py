@@ -134,7 +134,6 @@ class TestBitIdentity:
         assert result_key(steady) == result_key(trace.replay())
         reference = ClusterEngine(topology).run(program, nranks)
         assert result_key(steady) == result_key(reference)
-        assert trace.steady_replays == 1
 
     def test_eager_ping_pong(self, topology):
         self.assert_steady_matches(topology, ping_pong_loop(12))
@@ -281,57 +280,48 @@ class TestPlanIntegration:
         return quantized_machine.simulation_plan(deck, 2, 2)
 
     def test_steady_matches_replay_and_engine(self, plan):
-        steady = plan.run(mode="steady")
-        replay = plan.run(mode="replay")
-        engine = plan.run(mode="engine")
-        assert result_key(steady.simulation) == result_key(replay.simulation)
+        steady = plan.run()
+        assert plan.last_execution == "steady"
+        replay = plan.compile_trace().replay()
+        engine = plan.run_engine()
+        assert result_key(steady.simulation) == result_key(replay)
         assert result_key(steady.simulation) == result_key(engine.simulation)
         assert steady.iterations == engine.iterations
 
-    def test_counters_and_last_execution(self, plan):
-        before = plan.steadies
-        plan.run(mode="steady")
-        assert plan.steadies == before + 1
+    def test_run_picks_steady_when_noise_free(self, plan):
+        plan.run()
         assert plan.last_execution == "steady"
         assert plan.last_steady_refusal is None
 
-    def test_auto_picks_steady_when_noise_free(self, plan):
-        before = plan.steadies
-        plan.run(mode="auto")
-        assert plan.steadies == before + 1
-        assert plan.last_execution == "steady"
-
-    def test_auto_with_noise_skips_steady(self, quantized_machine, plan):
-        before = plan.steadies
-        run = plan.run(mode="auto", noise=quantized_machine.noise_model(3))
-        assert plan.steadies == before
+    def test_noisy_run_skips_steady(self, quantized_machine, plan):
+        run = plan.run(noise=quantized_machine.noise_model(3))
         assert plan.last_execution == "replay"
+        assert plan.last_steady_refusal is None
         assert run.elapsed_time > 0.0
 
-    def test_steady_mode_with_noise_falls_back_loudly(self, quantized_machine,
-                                                      plan):
-        plan.run(mode="steady", noise=quantized_machine.noise_model(3))
-        assert plan.last_execution == "replay"
-        assert "noise" in plan.last_steady_refusal
+    def test_steady_refuses_noise_loudly(self, quantized_machine, plan):
+        with pytest.raises(SteadyStateError, match="noise"):
+            steady_replay(plan.compile_trace(),
+                          quantized_machine.noise_model(3))
 
     def test_continuous_machine_falls_back_loudly(self):
         machine = get_machine("hypothetical-opteron-myrinet")
         deck = standard_deck("validation", px=2, py=2, max_iterations=12)
         plan = machine.simulation_plan(deck, 2, 2)
-        run = plan.run(mode="steady")
+        run = plan.run()
         assert plan.last_execution == "replay"
         assert "dyadic" in plan.last_steady_refusal
         assert run.elapsed_time > 0.0
 
-    def test_steady_rejects_multi_sample_runs(self, plan):
-        with pytest.raises(ValueError, match="batched trace replay"):
-            plan.run(mode="steady", samples=4)
+    def test_multi_sample_runs_replay(self, quantized_machine, plan):
+        plan.run(noise=quantized_machine.noise_model(3), samples=4)
+        assert plan.last_execution == "replay"
 
     def test_quantized_machine_stays_close_to_continuous(self):
         continuous = get_machine("hypothetical-opteron-myrinet")
         quantized = get_machine("steady")
         deck = standard_deck("validation", px=2, py=2, max_iterations=4)
-        base = continuous.simulation_plan(deck, 2, 2).run(mode="replay")
-        snapped = quantized.simulation_plan(deck, 2, 2).run(mode="steady")
+        base = continuous.simulation_plan(deck, 2, 2).run()
+        snapped = quantized.simulation_plan(deck, 2, 2).run()
         assert snapped.elapsed_time == pytest.approx(base.elapsed_time,
                                                      rel=1e-4)

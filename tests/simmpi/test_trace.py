@@ -200,7 +200,6 @@ class TestReplaySemantics:
         third = trace.replay(noise.reseeded(12))
         assert result_key(first) == result_key(second)
         assert result_key(first) != result_key(third)
-        assert trace.replays == 3
 
     def test_event_table_shape(self, topology):
         def program(comm):
@@ -292,11 +291,10 @@ class TestBatchReplay:
         assert batch.elapsed_ci95 == 0.0
         assert batch.elapsed_mean == batch.elapsed[0]
 
-    def test_replays_counter_counts_samples(self, topology):
-        trace = self.record(topology)
-        before = trace.replays
-        trace.replay_batch([1, 2, 3, 4, 5])
-        assert trace.replays == before + 5
+    def test_batch_has_one_sample_per_seed(self, topology):
+        batch = self.record(topology).replay_batch([1, 2, 3, 4, 5])
+        assert len(batch) == batch.n_samples == 5
+        assert batch.seeds == [1, 2, 3, 4, 5]
 
     def test_empty_seed_list_rejected(self, topology):
         with pytest.raises(ValueError, match="at least one seed"):
@@ -315,23 +313,27 @@ class TestPlanIntegration:
         return machine.simulation_plan(deck, 2, 2)
 
     def test_plan_replay_matches_engine(self, machine, plan):
+        trace = plan.compile_trace()
         for seed in (None, 3, 99):
             # A NoiseModel carries generator state, so each run gets its
             # own freshly seeded instance (exactly how the backend seeds
             # per-scenario runs).
             def noise():
                 return None if seed is None else machine.noise_model(seed)
-            engine_run = plan.run(noise=noise(), mode="engine")
-            replay_run = plan.run(noise=noise(), mode="replay")
-            assert result_key(replay_run.simulation) == \
+            engine_run = plan.run_engine(noise=noise())
+            replayed = trace.replay(noise())
+            assert result_key(replayed) == result_key(engine_run.simulation)
+            planned = plan.run(noise=noise())
+            assert plan.last_execution == "replay"
+            assert result_key(planned.simulation) == \
                 result_key(engine_run.simulation)
-            assert replay_run.error_history == engine_run.error_history
-            assert replay_run.iterations == engine_run.iterations
+            assert planned.error_history == engine_run.error_history
+            assert planned.iterations == engine_run.iterations
 
-    def test_auto_mode_replays_modelled_plans(self, plan):
-        before = plan.replays
-        plan.run(mode="auto")
-        assert plan.replays == before + 1
+    def test_noisy_runs_replay(self, machine, plan):
+        plan.run(noise=machine.noise_model(1))
+        assert plan.last_execution == "replay"
+        assert plan.last_steady_refusal is None
 
     def test_numeric_plan_refuses_replay(self, machine):
         from repro.sweep3d.input import standard_deck
@@ -339,20 +341,13 @@ class TestPlanIntegration:
         plan = machine.simulation_plan(deck, 1, 2, numeric=True)
         with pytest.raises(TraceError, match="numeric"):
             plan.compile_trace()
-        with pytest.raises(TraceError):
-            plan.run(mode="replay")
-        before = plan.replays
-        auto = plan.run(mode="auto")           # falls back to the engine
-        assert plan.replays == before
-        assert auto.global_flux() is not None
-
-    def test_unknown_mode_rejected(self, plan):
-        with pytest.raises(ValueError, match="unknown simulation mode"):
-            plan.run(mode="turbo")
+        run = plan.run()                        # served by the engine
+        assert plan.last_execution == "engine"
+        assert run.global_flux() is not None
 
     def test_plan_run_does_not_mutate_engine_noise(self, machine, plan):
         """Regression: per-run noise must not leak into the shared engine."""
         default_noise = plan.engine.noise
-        plan.run(noise=machine.noise_model(5), mode="engine")
+        plan.run_engine(noise=machine.noise_model(5))
         assert plan.engine.noise is default_noise
         assert plan.engine.noise.is_disabled()

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.errors import DecompositionError
+from repro.errors import DecompositionError, TraceError
 from repro.machines.presets import get_machine
 from repro.simnet.noise import NoiseModel, derive_seed
-from repro.sweep3d.driver import SimulationPlan
+from repro.sweep3d.driver import SimulationPlan, run_parallel_sweep
 from repro.sweep3d.input import standard_deck
 from repro.sweep3d.parallel import SweepCostTable, SweepPlanData
 from repro.sweep3d.kernel import SweepKernel
@@ -64,13 +64,17 @@ class TestSweepPlanData:
 class TestSimulationPlan:
     def test_bit_identical_to_reference_path(self, machine):
         deck = standard_deck("validation", px=2, py=3, max_iterations=2)
-        reference = machine.simulate(deck, 2, 3, seed_offset=11)
+        reference = run_parallel_sweep(deck, 2, 3, topology=machine.topology,
+                                       processor=machine.processor,
+                                       noise=machine.noise_model(11))
         plan = machine.simulation_plan(deck, 2, 3)
-        run = plan.run(noise=machine.noise_model(11))
-        assert run.elapsed_time == reference.elapsed_time
-        assert ([r.finish_time for r in run.simulation.ranks]
-                == [r.finish_time for r in reference.simulation.ranks])
-        assert run.total_messages == reference.total_messages
+        for run in (plan.run_engine(noise=machine.noise_model(11)),
+                    plan.run(noise=machine.noise_model(11)),
+                    machine.simulate(deck, 2, 3, seed_offset=11)):
+            assert run.elapsed_time == reference.elapsed_time
+            assert ([r.finish_time for r in run.simulation.ranks]
+                    == [r.finish_time for r in reference.simulation.ranks])
+            assert run.total_messages == reference.total_messages
 
     def test_plan_reuse_across_seeds(self, machine):
         deck = standard_deck("validation", px=2, py=2, max_iterations=2)
@@ -80,7 +84,6 @@ class TestSimulationPlan:
         again = plan.run(noise=machine.noise_model(1))
         assert a.elapsed_time != b.elapsed_time
         assert a.elapsed_time == again.elapsed_time
-        assert plan.runs == 3
 
     def test_seed_parameter_reseeds_noise(self, machine):
         deck = standard_deck("validation", px=2, py=2, max_iterations=1)
@@ -131,14 +134,13 @@ class TestMultiSampleRuns:
         return machine.simulation_plan(deck, 2, 2)
 
     def test_samples_match_sequential_runs(self, machine, plan):
-        sample_set = plan.run(noise=machine.noise_model(11), mode="auto",
-                              samples=4)
+        sample_set = plan.run(noise=machine.noise_model(11), samples=4)
         assert sample_set.n_samples == len(sample_set) == 4
         assert sample_set.seeds == [machine.noise_seed + 11 + s
                                     for s in range(4)]
         for index, seed in enumerate(sample_set.seeds):
-            single = plan.run(noise=machine.noise_model(0), seed=seed,
-                              mode="replay")
+            single = plan.run(noise=machine.noise_model(0), seed=seed)
+            assert plan.last_execution == "replay"
             assert sample_set.elapsed_times[index] == single.elapsed_time
             materialised = sample_set.sample(index)
             assert materialised.elapsed_time == single.elapsed_time
@@ -147,21 +149,18 @@ class TestMultiSampleRuns:
     def test_sample_zero_matches_single_run_path(self, machine, plan):
         # The uncertainty block is additive: the headline number of a
         # sampled run is the plain run at the same seed offset.
-        single = machine.simulate(plan.deck, 2, 2, seed_offset=5,
-                                  execution="auto")
-        sampled = machine.simulate(plan.deck, 2, 2, seed_offset=5,
-                                   execution="auto", samples=3)
+        single = machine.simulate(plan.deck, 2, 2, seed_offset=5)
+        sampled = machine.simulate(plan.deck, 2, 2, seed_offset=5, samples=3)
         assert sampled.sample(0).elapsed_time == single.elapsed_time
 
     def test_seed_parameter_offsets_the_sample_seeds(self, machine, plan):
         seed = derive_seed("sample-test", 2, 2)
         sample_set = plan.run(noise=machine.noise_model(0), seed=seed,
-                              samples=2, mode="auto")
+                              samples=2)
         assert sample_set.seeds == [seed, seed + 1]
 
     def test_summary_and_stats(self, machine, plan):
-        sample_set = plan.run(noise=machine.noise_model(3), mode="auto",
-                              samples=8)
+        sample_set = plan.run(noise=machine.noise_model(3), samples=8)
         summary = sample_set.summary()
         assert summary["samples"] == 8.0
         assert sample_set.elapsed_std > 0.0
@@ -170,17 +169,12 @@ class TestMultiSampleRuns:
         assert summary["elapsed_min"] <= sample_set.elapsed_mean \
             <= summary["elapsed_max"]
 
-    def test_run_counters_count_samples(self, machine):
-        deck = standard_deck("validation", px=1, py=2, max_iterations=1)
-        plan = machine.simulation_plan(deck, 1, 2)
-        plan.run(noise=machine.noise_model(0), mode="auto", samples=6)
-        assert plan.runs == 6
-        assert plan.replays == 6
-
-    def test_engine_mode_rejected(self, machine, plan):
-        with pytest.raises(ValueError, match="batched trace"):
-            plan.run(noise=machine.noise_model(0), mode="engine", samples=2)
+    def test_numeric_plan_rejects_samples(self, machine):
+        deck = standard_deck("mini", px=1, py=2, max_iterations=1)
+        plan = machine.simulation_plan(deck, 1, 2, numeric=True)
+        with pytest.raises(TraceError, match="numeric"):
+            plan.run(noise=machine.noise_model(0), samples=2)
 
     def test_nonpositive_samples_rejected(self, machine, plan):
         with pytest.raises(ValueError, match="samples must be >= 1"):
-            plan.run(noise=machine.noise_model(0), mode="auto", samples=0)
+            plan.run(noise=machine.noise_model(0), samples=0)

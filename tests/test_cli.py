@@ -74,16 +74,25 @@ class TestCli:
         ["table1"],
         ["sweep"],
         ["serve", "--job-fleet-workers", "2"],
-    ], ids=["table1", "sweep", "serve-removed-flag"])
+        ["simulate", "--execution", "engine"],
+        ["client", "simulate", "--execution", "replay"],
+    ], ids=["table1", "sweep", "serve-removed-flag", "simulate-execution",
+            "client-simulate-execution"])
     def test_removed_subcommands_are_gone(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
 
-    def test_unknown_machine_raises(self):
-        from repro.errors import MachineNotFoundError
-        with pytest.raises(MachineNotFoundError):
-            main(["predict", "--machine", "cray-xmp"])
+    @pytest.mark.parametrize("command", ["predict", "simulate"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--machine", "cray-xmp"], "unknown machine 'cray-xmp'"),
+        (["--deck", "nosuch"], "unknown standard deck 'nosuch'"),
+    ], ids=["machine", "deck"])
+    def test_bad_input_fails_in_one_line(self, command, flags, message,
+                                         capsys):
+        assert main([command, *flags]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"{command} failed: {message}")
 
 
 class TestSimulateGridCli:
@@ -144,26 +153,25 @@ class TestSampledSimulateCli:
                      "--samples", "4"]) == 2
         assert "simulate backend" in capsys.readouterr().out
 
-    def test_engine_execution_rejects_samples(self, capsys):
+    def test_numeric_run_rejects_samples(self, capsys):
         assert main(["simulate", "--machine", "pentium3", "--px", "1",
-                     "--py", "1", "--iterations", "1", "--execution",
-                     "engine", "--samples", "2"]) == 2
-        assert "batched trace replay" in capsys.readouterr().out
+                     "--py", "2", "--deck", "mini", "--iterations", "1",
+                     "--numeric", "--samples", "2"]) == 2
+        assert capsys.readouterr().out.startswith(
+            "simulate failed: multi-sample evaluation needs modelled")
 
 
 class TestSteadySimulateCli:
-    def test_steady_execution_noise_free(self, capsys):
+    def test_noise_free_run_takes_the_steady_tier(self, capsys):
         assert main(["simulate", "--machine", "steady", "--px", "2",
-                     "--py", "2", "--iterations", "12", "--no-noise",
-                     "--execution", "steady"]) == 0
+                     "--py", "2", "--iterations", "12", "--no-noise"]) == 0
         out = capsys.readouterr().out
         assert "simulated run time" in out
         assert "execution tier: steady" in out
 
-    def test_steady_with_noise_falls_back_to_replay(self, capsys):
+    def test_noisy_run_takes_the_replay_tier(self, capsys):
         assert main(["simulate", "--machine", "steady", "--px", "2",
-                     "--py", "2", "--iterations", "12",
-                     "--execution", "steady"]) == 0
+                     "--py", "2", "--iterations", "12"]) == 0
         assert "execution tier: replay" in capsys.readouterr().out
 
     def test_describe_trace_reports_period(self, capsys):
@@ -237,6 +245,9 @@ class TestStudyCli:
     def test_run_bad_set_override(self, capsys):
         assert main(["run", "table2", "--set", "max_pies=4"]) == 2
         assert "not accepted by any" in capsys.readouterr().out
+        # The simulator picks its own tier; the old tier parameter is gone.
+        assert main(["run", "table2", "--set", "sim_execution=engine"]) == 2
+        assert "['sim_execution'] not accepted" in capsys.readouterr().out
         assert main(["run", "table2", "--set", "nonsense"]) == 2
         assert "bad --set" in capsys.readouterr().out
 

@@ -352,13 +352,14 @@ class TestTraceReplayProperties:
                 return machine.noise_model(seed)       # scalar draw fallback
             return NoiseModel(seed=seed, daemon_interval=0.0)   # vectorised
 
-        deterministic_engine = plan.run(mode="engine")
-        deterministic_replay = plan.run(mode="replay")
-        assert self._simulation_key(deterministic_replay.simulation) == \
+        deterministic_engine = plan.run_engine()
+        deterministic_replay = plan.compile_trace().replay()
+        assert self._simulation_key(deterministic_replay) == \
             self._simulation_key(deterministic_engine.simulation)
 
-        noisy_engine = plan.run(noise=noise(), mode="engine")
-        noisy_replay = plan.run(noise=noise(), mode="replay")
+        noisy_engine = plan.run_engine(noise=noise())
+        noisy_replay = plan.run(noise=noise())
+        assert plan.last_execution == "replay"
         assert self._simulation_key(noisy_replay.simulation) == \
             self._simulation_key(noisy_engine.simulation)
         assert noisy_replay.error_history == noisy_engine.error_history
@@ -405,7 +406,7 @@ class TestBatchReplayProperties:
         else:
             noise = NoiseModel(seed=seed, daemon_interval=0.0)
 
-        sample_set = plan.run(noise=noise, mode="auto", samples=samples)
+        sample_set = plan.run(noise=noise, samples=samples)
         assert sample_set.n_samples == samples
         trace = plan.compile_trace()
         for index in range(samples):
