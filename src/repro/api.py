@@ -113,6 +113,7 @@ from repro.experiments.study import (
 from repro.experiments.uncertainty import NoiseCalibration, calibrate_noise
 from repro.machines.machine import Machine
 from repro.machines.presets import MACHINE_PRESETS, get_machine
+from repro.simmpi.tracecache import TraceMemory
 from repro.sweep3d.input import Sweep3DInput, standard_deck
 
 __all__ = [
@@ -192,6 +193,8 @@ def available_machines() -> list[str]:
 
 #: The process-wide memoised context behind the one-shot conveniences.
 _DEFAULT_CONTEXT: StudyContext | None = None
+#: Compiled traces of every configuration :func:`simulate` has run.
+_TRACES = TraceMemory()
 
 
 def default_context() -> StudyContext:
@@ -199,11 +202,13 @@ def default_context() -> StudyContext:
 
     :func:`predict` and :func:`simulate` evaluate through this context, so
     repeated one-shots share one parsed+compiled PSL model and one
-    :class:`Machine` instance (whose simulation-plan cache makes repeated
-    ``simulate`` calls of the same configuration trace-replay warm) — the
+    :class:`Machine` instance (with its MPI fits and flop profiles) — the
     same mechanism the always-on prediction service (:mod:`repro.service`)
-    amortises across network callers.  Results are bit-identical to a
-    fresh context: memoisation shares the compile step, never the inputs.
+    amortises across network callers.  Studies run here keep no simulation
+    plan or trace; only :func:`simulate` keeps the compiled trace of each
+    configuration it runs (:func:`clear_cached_context` drops them).
+    Results are bit-identical to a fresh context: memoisation shares the
+    compile and capture steps, never the inputs.
     """
     global _DEFAULT_CONTEXT
     if _DEFAULT_CONTEXT is None:
@@ -217,16 +222,17 @@ def clear_cached_context() -> None:
     The next one-shot rebuilds everything from scratch — useful in tests
     and for bounding memory in very long-lived processes.
     """
-    global _DEFAULT_CONTEXT
+    global _DEFAULT_CONTEXT, _TRACES
     if _DEFAULT_CONTEXT is not None:
         _DEFAULT_CONTEXT.close()
     _DEFAULT_CONTEXT = None
+    _TRACES = TraceMemory()
 
 
 def _resolve(machine: Machine | str) -> Machine:
     if isinstance(machine, str):
         # Memoised per preset name: repeated one-shots reuse the machine's
-        # internal plan/trace caches instead of rebuilding them per call.
+        # MPI fits and flop profiles instead of rebuilding them per call.
         return default_context().machine(machine)
     return machine
 
@@ -283,10 +289,11 @@ def simulate(machine: Machine | str, px: int, py: int,
     and returns a :class:`~repro.sweep3d.driver.Sweep3DSampleSet`
     (per-sample elapsed times plus mean/std/CI95); sample 0 uses
     ``seed_offset``'s own noise stream, so its run matches the single-run
-    path exactly.
+    path exactly.  Each configuration's compiled trace is kept, so a loop
+    over ``seed_offset`` captures once and replays every later seed.
     """
     machine = _resolve(machine)
     deck = _resolve_deck(deck, px, py, iterations)
     return machine.simulate(deck, px, py, numeric=numeric,
                             with_noise=with_noise, seed_offset=seed_offset,
-                            samples=samples or None)
+                            samples=samples or None, trace_cache=_TRACES)

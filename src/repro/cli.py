@@ -71,11 +71,13 @@ from repro.core.hmcl.parser import format_hmcl
 from repro.core.workload import SweepWorkload, load_sweep3d_model
 from repro.errors import ExperimentError, Sweep3DError
 from repro.experiments.study import (
-    StudyRunner,
+    StudyContext,
+    StudyResult,
     StudySpec,
     build_spec,
     get_study,
     load_spec,
+    run_study,
     study_names,
 )
 from repro.machines.presets import MACHINE_PRESETS, get_machine
@@ -104,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--cache-dir", default=None,
                      help="shared disk-backed sweep cache directory")
     cmd.add_argument("--out", default=None, metavar="DIR",
-                     help="write JSON/CSV artifacts plus manifest.json here")
+                     help="write JSON/CSV artifacts plus manifest.json here, "
+                          "after every study")
     cmd.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      dest="overrides",
                      help="study parameter override (repeatable; values are "
@@ -458,46 +461,49 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"selected study")
         return 2
 
-    smoke = args.smoke
+    specs = [spec.with_overrides(workers=args.workers, cache_dir=args.cache_dir)
+             for spec in specs]
+    if args.smoke:
+        specs = [spec.smoke() for spec in specs]
     if shard_selector is not None:
         # The plan is computed on the grid that actually runs, so apply
         # the smoke reduction (and runner-level overrides, which are part
         # of the spec hash) before planning.
         from repro.experiments.sharding import make_shard_spec
         index, count = shard_selector
-        resolved = [spec.with_overrides(workers=args.workers,
-                                        cache_dir=args.cache_dir)
-                    for spec in specs]
-        if smoke:
-            resolved = [spec.smoke() for spec in resolved]
-            smoke = False
-        specs = []
-        for spec in resolved:
+        shards = []
+        for spec in specs:
             shard = make_shard_spec(spec, index, count)
             if shard is None:
                 print(f"shard {index}/{count}: {spec.study} has fewer grid "
                       "units than shards; no work here")
             else:
-                specs.append(shard)
+                shards.append(shard)
+        specs = shards
 
-    runner = StudyRunner(workers=args.workers, cache_dir=args.cache_dir)
-    results = runner.run_many(specs, smoke=smoke) if specs else []
-
-    for result in results:
-        print(f"== {result.spec.study} "
-              f"[{result.spec_hash[:12]}] "
-              f"({len(result.rows)} row(s), {result.elapsed_s:.2f} s) ==")
-        print(result.describe())
-        if result.disk_stats.hits or result.disk_stats.misses or \
-                result.disk_stats.stores:
-            print(result.disk_stats.describe())
-        print()
+    from repro.experiments.artifacts import write_study_artifacts
+    results: list[StudyResult] = []
+    manifest = None
+    with StudyContext() as ctx:
+        for spec in specs:
+            result = run_study(spec, context=ctx)
+            results.append(result)
+            print(f"== {result.spec.study} "
+                  f"[{result.spec_hash[:12]}] "
+                  f"({len(result.rows)} row(s), {result.elapsed_s:.2f} s) ==")
+            print(result.describe())
+            if result.disk_stats.hits or result.disk_stats.misses or \
+                    result.disk_stats.stores:
+                print(result.disk_stats.describe())
+            print()
+            if args.out is not None:
+                # Rewritten after every study (earlier stems never change),
+                # so the finished studies stay on disk if a later one fails.
+                manifest = write_study_artifacts(results, args.out)
     if args.out is not None:
-        from repro.experiments.artifacts import write_study_artifacts
         # A shard that received no work still publishes a (study-less)
         # manifest so fleet collectors always find an artifact directory.
-        manifest = write_study_artifacts(results, args.out,
-                                         allow_empty=shard_selector is not None)
+        manifest = manifest or write_study_artifacts([], args.out, allow_empty=True)
         print(f"wrote {len(results)} artifact pair(s) + {manifest}")
     return 0
 

@@ -5,8 +5,8 @@ A *backend* turns the declarative scenario grid of
 mirroring the compiled prediction pipeline:
 
 * ``backend.compile(scenario_space)`` performs every piece of work that is
-  shared across the grid (model lowering, simulation-plan construction,
-  cost tables) and returns an **executor**;
+  shared across the grid (model lowering, cost tables) and returns an
+  **executor**;
 * ``executor.evaluate(scenario)`` prices one grid point.
 
 Two backends are registered:
@@ -18,13 +18,15 @@ Two backends are registered:
     fingerprint.
 
 ``"simulate"``
-    The discrete-event SWEEP3D simulator.  Each (deck, px, py) point is
-    lowered once into a :class:`~repro.sweep3d.driver.SimulationPlan`
-    (topology validation, Cart2D decomposition, shared quadrature/blocking
-    data, seeded noise) and re-executed across grid points; the
-    block-pricing :class:`~repro.sweep3d.parallel.SweepCostTable` is shared
-    across every plan of the sweep.  Each plan picks its own execution
-    tier (:meth:`~repro.sweep3d.driver.SimulationPlan.run`): modelled
+    The discrete-event SWEEP3D simulator.  Each scenario is lowered into
+    a :class:`~repro.sweep3d.driver.SimulationPlan` (topology validation,
+    Cart2D decomposition, shared quadrature/blocking data) that lives
+    only as long as that scenario; the block-pricing
+    :class:`~repro.sweep3d.parallel.SweepCostTable` is shared across
+    every plan of the sweep, and the optional disk trace cache carries
+    compiled traces across scenarios, runs and processes.  Each plan
+    picks its own execution tier
+    (:meth:`~repro.sweep3d.driver.SimulationPlan.run`): modelled
     (timing-only) scenarios resolve as **trace replays** — the plan's
     event stream is recorded once (:mod:`repro.simmpi.trace`) and each run
     resolves as a vectorised max-plus recurrence instead of re-driving the
@@ -453,35 +455,25 @@ class SimulationBackend:
 
 
 class SimulationExecutor:
-    """Reusable simulation plans plus a sweep-wide compute cost table."""
+    """A fresh simulation plan per scenario plus a sweep-wide cost table."""
 
     def __init__(self, backend: SimulationBackend):
         self.backend = backend
         machine = backend.machine
         self.cost_table = (SweepCostTable(machine.processor)
                            if backend.charge_compute else None)
-        self._plans: dict[tuple, Any] = {}
         self._evaluations = 0
-        self._plan_builds = 0
-        self._plan_reuses = 0
 
     def evaluate(self, scenario) -> SimMeasurement:
         backend = self.backend
         deck, px, py = backend.deck_for(scenario)
-        key = (deck, px, py)
-        plan = self._plans.get(key)
-        if plan is None:
-            self._plan_builds += 1
-            plan = self._plans[key] = backend.machine.simulation_plan(
-                deck, px, py,
-                numeric=backend.numeric,
-                charge_compute=backend.charge_compute,
-                convergence_collectives=backend.convergence_collectives,
-                cost_table=self.cost_table,
-                trace_cache=getattr(backend, "trace_cache", None))
-        else:
-            self._plan_reuses += 1
-
+        plan = backend.machine.simulation_plan(
+            deck, px, py,
+            numeric=backend.numeric,
+            charge_compute=backend.charge_compute,
+            convergence_collectives=backend.convergence_collectives,
+            cost_table=self.cost_table,
+            trace_cache=getattr(backend, "trace_cache", None))
         offset = backend.seed_offset_for(scenario, deck, px, py)
         noise = backend.machine.noise_model(offset) if backend.with_noise else None
         phases_before = plan.phases.snapshot()
@@ -525,12 +517,10 @@ class SimulationExecutor:
         ``subtask`` hits/misses count the compute cost table (each hit is a
         block/source/convergence charge priced from the memo instead of a
         freshly built operation mix; under trace replay the table is only
-        consulted during the one pattern-capture pass per plan); ``flow``
-        hits/misses count simulation plan reuse vs construction.
+        consulted while a plan captures its trace).  Plans are not
+        retained, so the ``flow`` counters stay zero.
         """
-        stats = CacheStats(predictions=self._evaluations,
-                           flow_hits=self._plan_reuses,
-                           flow_misses=self._plan_builds)
+        stats = CacheStats(predictions=self._evaluations)
         if self.cost_table is not None:
             stats.subtask_hits = self.cost_table.hits
             stats.subtask_misses = self.cost_table.misses

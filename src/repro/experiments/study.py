@@ -480,7 +480,7 @@ class StudyContext:
         self._caches: dict[str, SweepDiskCache] = {}
         self._pool: ProcessPoolExecutor | None = None
         self._pool_size = 0
-        #: Sweep runners created through this context (stats aggregation).
+        #: Sweep runners of the study being run (stats aggregation).
         self._runners: list[Any] = []
 
     # -- shared resources ----------------------------------------------------
@@ -776,6 +776,9 @@ class StudyRunner:
             elapsed = time.perf_counter() - started
         finally:
             ctx.cache = previous_cache
+            # Never pin a finished study's runners to the context.
+            runners = ctx._runners[runners_before:]
+            del ctx._runners[runners_before:]
         # Aggregate accounting from the sweep runners this study created;
         # each runner's stats cover its one run() call, and the parallel
         # path already merges its workers' disk I/O into runner.disk_stats
@@ -784,7 +787,7 @@ class StudyRunner:
         disk_stats = DiskCacheStats()
         execution: dict[str, int] = {}
         phases: dict[str, float] = {}
-        for runner in ctx._runners[runners_before:]:
+        for runner in runners:
             cache_stats = cache_stats.merge(runner.stats)
             disk_stats = disk_stats.merge(runner.disk_stats)
             for tier, count in getattr(runner, "execution_counts", {}).items():

@@ -16,8 +16,8 @@ every experiment module; this module centralises it.
   compiled **once** per runner — for the default ``"predict"`` backend that
   means one :class:`~repro.core.evaluation.compiler.CompiledModel` shared
   by every point, with one executor per distinct hardware fingerprint; for
-  the ``"simulate"`` backend one reusable simulation plan per (deck, px,
-  py) plus a sweep-wide compute cost table.  With ``workers > 1`` the
+  the ``"simulate"`` backend a sweep-wide compute cost table (each
+  scenario builds its own simulation plan).  With ``workers > 1`` the
   scenario list fans out over ``multiprocessing`` (results are returned in
   input order and are identical to a serial run, for both backends).
 * Optional **disk cache** (:mod:`repro.experiments.diskcache`): pass

@@ -41,6 +41,9 @@ class Machine:
     noise_seed:
         Base seed for the measurement noise; each simulated run offsets it
         so different configurations see independent noise.
+
+    A machine memoises its MPI fits and flop profiles, never a simulation
+    plan or trace: see :meth:`simulate` for how callers reuse them.
     """
 
     name: str
@@ -62,18 +65,6 @@ class Machine:
     _benchmark_cache: dict[bool, MpiCostModel] = field(default_factory=dict, repr=False)
     _profile_cache: dict[tuple[int, int, int], FlopProfile] = field(default_factory=dict,
                                                                     repr=False)
-    #: Plans memoised by :meth:`simulate` for the replay tiers, so repeated
-    #: calls for one configuration reuse the compiled trace instead of
-    #: re-recording it per call.
-    _plan_cache: dict[tuple, SimulationPlan] = field(default_factory=dict, repr=False)
-
-    def __getstate__(self):
-        # Machines travel to multiprocessing workers inside a pickled
-        # SimulationBackend; memoised plans (and their compiled traces)
-        # are cheap to rebuild and would only bloat that payload.
-        state = dict(self.__dict__)
-        state["_plan_cache"] = {}
-        return state
 
     # ------------------------------------------------------------------
     # Hardware-layer measurement campaigns
@@ -148,25 +139,26 @@ class Machine:
     def simulate(self, deck: Sweep3DInput, px: int, py: int,
                  numeric: bool = False, seed_offset: int = 0,
                  with_noise: bool = True,
-                 samples: int | None = None) -> Sweep3DRunResult | Sweep3DSampleSet:
+                 samples: int | None = None,
+                 trace_cache=None) -> Sweep3DRunResult | Sweep3DSampleSet:
         """Execute the parallel sweep on the discrete-event simulator.
 
         This produces the "Measurement" column of the validation tables.
-        The configuration is lowered once into a memoised
+        Each call lowers the configuration into a fresh
         :class:`~repro.sweep3d.driver.SimulationPlan`, whose
         :meth:`~repro.sweep3d.driver.SimulationPlan.run` picks the fastest
-        bit-identical tier.  ``samples`` draws that many noise seeds in
-        one batched replay and returns a
+        bit-identical tier; the plan dies with the call.  To rerun one
+        configuration, hold :meth:`simulation_plan` and call ``plan.run``
+        per seed, or pass one ``trace_cache`` (see :meth:`simulation_plan`)
+        to every call, as ``api.simulate`` does.  ``samples`` draws that
+        many noise seeds in one batched replay and returns a
         :class:`~repro.sweep3d.driver.Sweep3DSampleSet` instead; sample 0
         uses ``seed_offset``'s own noise stream, so its run is
         bit-identical to the single-run path.
         """
         noise = self.noise_model(seed_offset) if with_noise else NoiseModel.disabled()
-        key = (deck, px, py, numeric)
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            plan = self._plan_cache[key] = self.simulation_plan(
-                deck, px, py, numeric=numeric)
+        plan = self.simulation_plan(deck, px, py, numeric=numeric,
+                                    trace_cache=trace_cache)
         return plan.run(noise=noise, samples=samples)
 
     def simulation_plan(self, deck: Sweep3DInput, px: int, py: int,
@@ -181,8 +173,9 @@ class Machine:
         engine, decomposition or compute cost table;
         ``plan.run(noise=self.noise_model(offset))`` is bit-identical to
         :meth:`simulate` with the same ``seed_offset``.  ``trace_cache``
-        (a :class:`~repro.simmpi.tracecache.TraceDiskCache`) lets the
-        plan serve/persist its compiled trace across processes.
+        (a :class:`~repro.simmpi.tracecache.TraceMemory` within a process,
+        a ``TraceDiskCache`` across processes) keeps the plan's compiled
+        trace beyond the plan.
         """
         return SimulationPlan(deck, px, py, topology=self.topology,
                               processor=self.processor, numeric=numeric,
@@ -239,7 +232,7 @@ class Machine:
                                         f"[tick-quantized, {time_quantum:g}s grid]"),
             processor=processor,
             topology=topology,
-            _benchmark_cache={}, _profile_cache={}, _plan_cache={})
+            _benchmark_cache={}, _profile_cache={})
 
     def can_host(self, nranks: int) -> bool:
         """Whether the physical machine has at least ``nranks`` processors."""

@@ -25,7 +25,7 @@ is no web framework):
 
 Every response is bit-identical to the corresponding direct
 ``api.predict`` / ``api.simulate`` / ``StudyRunner.run`` call: the
-service only shares compile/plan steps and caches results keyed on the
+service only shares compile/capture steps and caches results keyed on the
 full scenario identity, never approximates.
 """
 

@@ -2,10 +2,10 @@
 
 :class:`PredictionService` owns one :class:`~repro.experiments.study.
 StudyContext` — the PSL model is parsed and compiled once for the life
-of the process, machine presets (with their simulation-plan and trace
-caches) are instantiated once, and an optional
-:class:`~repro.experiments.diskcache.SweepDiskCache` persists scenario
-results across restarts.  On top of that sit
+of the process, machine presets are instantiated once, every simulated
+configuration's compiled trace is kept (a new seed is a replay), and an
+optional :class:`~repro.experiments.diskcache.SweepDiskCache` persists
+scenario results and traces across restarts.  On top of that sit
 
 * an in-memory **result LRU** (:class:`ResultLRU`) keyed on the full
   scenario identity, making the serving tiers *memory-LRU → disk cache
@@ -20,7 +20,7 @@ Every served number is bit-identical to the direct ``api.predict`` /
 ``api.simulate`` / ``StudyRunner.run`` call: caches are keyed on the
 complete value identity (the same fingerprints the disk cache uses), and
 the compute path *is* the library path — the service only amortises the
-compile/plan steps, which are value-preserving by construction.
+compile and capture steps, which are value-preserving by construction.
 
 Blocking compute runs on a small thread pool; batches of the same
 backend group are serialised (sweep runners keep per-run state), batches
@@ -71,6 +71,7 @@ from repro.service.protocol import (
     StatsResponse,
     StudySubmitRequest,
 )
+from repro.simmpi.tracecache import TraceDiskCache, TraceMemory
 
 
 class ResultLRU:
@@ -180,6 +181,11 @@ class PredictionService:
         #: would otherwise repeat for every request.
         self._hardware: dict[tuple, Any] = {}
         self._hardware_lock = threading.Lock()
+        #: Compiled traces shared by every simulate group (keys are value
+        #: identities), written through to ``<cache>/traces/``.
+        self._traces = TraceMemory(
+            TraceDiskCache(self.cache.path / "traces")
+            if self.cache is not None else None)
         self._requests: dict[str, int] = {}
         self._started = time.monotonic()
 
@@ -367,7 +373,7 @@ class PredictionService:
             backend = SimulationBackend(
                 machine=self.context.machine(machine_name), deck=deck,
                 max_iterations=iterations, with_noise=with_noise,
-                samples=samples)
+                samples=samples, trace_cache=self._traces)
         runner = SweepRunner(backend=backend, workers=1, cache=self.cache)
         self._runners[group] = runner
         return runner

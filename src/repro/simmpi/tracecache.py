@@ -110,13 +110,32 @@ class TraceDiskCache(DirectoryStore):
             **columns,
         )
 
-    def get_trace(self, key: tuple) -> CompiledTrace | None:
-        """Alias of :meth:`get` with the trace-typed signature."""
-        return self.get(key)
 
-    def put_trace(self, key: tuple, trace: CompiledTrace) -> None:
-        """Alias of :meth:`put` with the trace-typed signature."""
-        self.put(key, trace)
+class TraceMemory:
+    """Compiled traces held in memory, optionally in front of a disk cache.
+
+    ``api.simulate`` and the prediction service pass one as every plan's
+    ``trace_cache``, so a configuration rerun at a new noise seed replays
+    instead of capturing again.  ``disk`` is read on a miss and written
+    through on a store.
+    """
+
+    def __init__(self, disk: TraceDiskCache | None = None):
+        self.disk = disk
+        self._traces: dict[tuple, CompiledTrace] = {}
+
+    def get(self, key: tuple) -> CompiledTrace | None:
+        trace = self._traces.get(key)
+        if trace is None and self.disk is not None:
+            trace = self.disk.get(key)
+            if trace is not None:
+                self._traces[key] = trace
+        return trace
+
+    def put(self, key: tuple, trace: CompiledTrace) -> None:
+        self._traces[key] = trace
+        if self.disk is not None:
+            self.disk.put(key, trace)
 
 
 def trace_cache_for(path: "str | Any") -> TraceDiskCache:

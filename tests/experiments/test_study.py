@@ -172,6 +172,38 @@ class TestStudyRunner:
             == "hypothetical-opteron-myrinet"
         assert first.machine_fingerprint == second.machine_fingerprint
 
+    def test_context_releases_each_studys_runners(self):
+        with StudyContext() as ctx:
+            before = len(ctx._runners)
+            run_study(build_spec("table2").smoke(), context=ctx)
+            run_study(build_spec("figure8").smoke(), context=ctx)
+            assert len(ctx._runners) == before
+
+    def test_plans_and_traces_die_with_their_scenario(self, monkeypatch):
+        import gc
+        import weakref
+
+        from repro.sweep3d.driver import SimulationPlan
+        from repro.sweep3d.input import standard_deck
+
+        traces = []
+        compile_trace = SimulationPlan.compile_trace
+
+        def tracked(plan):
+            trace = compile_trace(plan)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(SimulationPlan, "compile_trace", tracked)
+        with StudyContext() as ctx:
+            run_study(build_spec("table2").smoke(), context=ctx)
+            machine = ctx.machine("opteron")
+            machine.simulate(standard_deck("validation", px=2, py=2,
+                                           max_iterations=2), 2, 2)
+            gc.collect()
+            assert len(traces) > 1
+            assert [ref() for ref in traces] == [None] * len(traces)
+
     def test_shared_cache_spans_studies(self, tmp_path):
         runner = StudyRunner(cache_dir=str(tmp_path / "store"))
         spec = build_spec("table2", max_pes=6, max_iterations=1)

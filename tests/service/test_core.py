@@ -91,6 +91,31 @@ class TestBitIdentity:
         assert response.total_messages == direct.total_messages
         assert response.seed == 3
 
+    def test_new_seed_of_a_served_configuration_replays(self, monkeypatch):
+        from repro.sweep3d.driver import SimulationPlan
+
+        records = []
+        record_trace = SimulationPlan._record_trace
+
+        def counted(plan, deck):
+            records.append(deck.max_iterations)
+            return record_trace(plan, deck)
+
+        monkeypatch.setattr(SimulationPlan, "_record_trace", counted)
+
+        async def main(service):
+            return [await service.simulate(SimulateRequest(
+                machine=MACHINE, px=2, py=2, iterations=1, seed=seed))
+                for seed in range(3)]
+
+        responses = run_with_service(main)
+        assert [r.source for r in responses] == ["computed"] * 3
+        assert len(records) == 1              # seeds 1 and 2 replay
+        monkeypatch.undo()
+        for seed, response in enumerate(responses):
+            assert response.elapsed_time == api.simulate(
+                MACHINE, 2, 2, iterations=1, seed_offset=seed).elapsed_time
+
     def test_warm_repeat_is_served_from_memory(self):
         async def main(service):
             request = PredictRequest(machine=MACHINE, px=2, py=2,

@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 from repro.machines.presets import get_machine
-from repro.simmpi.tracecache import TraceDiskCache, trace_cache_for
+from repro.simmpi.tracecache import (
+    TraceDiskCache,
+    TraceMemory,
+    trace_cache_for,
+)
 from repro.simnet.noise import NoiseModel
 from repro.sweep3d.driver import SimulationPlan
 from repro.sweep3d.input import Sweep3DInput
@@ -37,7 +41,7 @@ def test_roundtrip_is_byte_exact(tmp_path, plan_parts):
     cache = TraceDiskCache(tmp_path)
     key = plan.trace_fingerprint()
     cache.put(key, trace)
-    loaded = cache.get_trace(key)
+    loaded = cache.get(key)
     assert loaded is not None
     for column in ("event_kind", "event_rank", "event_slot", "event_aux",
                    "event_peer", "event_tag", "event_nbytes"):
@@ -56,7 +60,7 @@ def test_miss_and_stats_accounting(tmp_path, plan_parts):
     cache = TraceDiskCache(tmp_path)
     key = plan.trace_fingerprint()
     assert cache.get(key) is None
-    cache.put_trace(key, trace)
+    cache.put(key, trace)
     assert cache.get(key) is not None
     snapshot = cache.stats_snapshot()
     assert (snapshot.hits, snapshot.misses, snapshot.stores) == (1, 1, 1)
@@ -111,6 +115,23 @@ def test_cache_pickles_for_worker_fanout(tmp_path, plan_parts):
     clone = pickle.loads(pickle.dumps(cache))
     assert clone.path == cache.path
     assert clone.get(key) is not None
+
+
+def test_memory_holds_traces_and_writes_through_to_disk(tmp_path, plan_parts):
+    plan, trace = plan_parts
+    key = plan.trace_fingerprint()
+    memory = TraceMemory()
+    assert memory.get(key) is None
+    memory.put(key, trace)
+    assert memory.get(key) is trace
+
+    disk = TraceDiskCache(tmp_path)
+    TraceMemory(disk).put(key, trace)
+    assert len(disk) == 1
+    fresh = TraceMemory(disk)               # a restarted holder
+    loaded = fresh.get(key)
+    assert loaded is not None and fresh.get(key) is loaded
+    assert disk.stats_snapshot().hits == 1  # one disk read, then memory
 
 
 def test_trace_cache_for_coercion(tmp_path):

@@ -38,6 +38,31 @@ class TestOneShots:
                                numeric=True, with_noise=False)
         assert numeric.error_history
 
+    def test_simulate_seed_loop_captures_once(self, monkeypatch):
+        from repro.sweep3d.driver import SimulationPlan
+
+        records = []
+        record_trace = SimulationPlan._record_trace
+
+        def counted(plan, deck):
+            records.append(deck.max_iterations)
+            return record_trace(plan, deck)
+
+        monkeypatch.setattr(SimulationPlan, "_record_trace", counted)
+        api.clear_cached_context()
+        try:
+            runs = [api.simulate("opteron", 2, 2, iterations=2,
+                                 seed_offset=seed) for seed in range(3)]
+            assert len(records) == 1          # seeds 1 and 2 replay
+            machine = api.get_machine("opteron")
+            deck = api.standard_deck("validation", px=2, py=2,
+                                     max_iterations=2)
+            for seed, run in enumerate(runs):
+                assert run.elapsed_time == machine.simulate(
+                    deck, 2, 2, seed_offset=seed).elapsed_time
+        finally:
+            api.clear_cached_context()
+
     def test_default_context_is_memoised_and_clearable(self):
         first = api.default_context()
         assert api.default_context() is first

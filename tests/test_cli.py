@@ -284,6 +284,29 @@ class TestStudyCli:
         for entry in manifest["studies"]:
             assert (out_dir / entry["artifacts"]["csv"]).exists()
 
+    def test_run_keeps_finished_studies_when_a_later_one_fails(
+            self, capsys, tmp_path, monkeypatch):
+        import dataclasses
+        import json
+
+        from repro.errors import ExperimentError
+        from repro.experiments import study
+
+        def explode(spec, context):
+            raise ExperimentError("figure8 exploded")
+
+        monkeypatch.setitem(study._STUDIES, "figure8", dataclasses.replace(
+            study.get_study("figure8"), execute=explode))
+        out_dir = tmp_path / "artifacts"
+        assert main(["run", "table2", "figure8", "--smoke",
+                     "--out", str(out_dir)]) == 2
+        assert "run failed: figure8 exploded" in capsys.readouterr().out
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert [e["study"] for e in manifest["studies"]] == ["table2"]
+        assert (out_dir / "table2.json").exists()
+        assert (out_dir / "table2.csv").exists()
+        assert not (out_dir / "figure8.csv").exists()
+
     def test_run_without_studies_errors(self, capsys):
         assert main(["run"]) == 2
         assert "nothing to run" in capsys.readouterr().out
