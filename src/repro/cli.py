@@ -961,12 +961,16 @@ def main(argv: Sequence[str] | None = None) -> int:
                         "predict": _cmd_predict, "simulate": _cmd_simulate}
     if command in checked_commands:
         # Bad study names, spec files, overrides, manifests, machines and
-        # decks are input errors: one line and exit code 2, never a
-        # traceback.
+        # decks are input errors, and running out of memory is a resource
+        # error: one line and exit code 2, never a traceback.  ``run --out``
+        # has already written the studies that finished.
         try:
             return checked_commands[command](args)
         except (ExperimentError, Sweep3DError) as exc:
             print(f"{command} failed: {exc}")
+            return 2
+        except MemoryError:
+            print(f"{command} failed: out of memory")
             return 2
     if command == "studies":
         return _cmd_studies(args)

@@ -1,9 +1,10 @@
 """The always-on prediction service.
 
 A long-running :mod:`asyncio` server that keeps the expensive state of
-the reproduction — the parsed+compiled PSL model, machine presets with
-their simulation-plan/trace caches, and the disk-backed sweep cache —
-warm across network callers, so none of it is rebuilt per request.
+the reproduction — the parsed+compiled PSL model, machine presets, the
+compiled traces of the configurations it has simulated, and the
+disk-backed sweep cache — warm across network callers, so none of it is
+rebuilt per request.
 
 Layers (stdlib only — the repo's runtime deps are numpy-only, so there
 is no web framework):

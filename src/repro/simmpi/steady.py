@@ -48,17 +48,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.simmpi.engine import RankResult, SimulationResult
+from repro.simmpi.engine import SimulationResult
 from repro.simmpi.trace import (
     EV_MATCH,
     EV_SEND,
-    _copy_traffic,
     _replay_events,
 )
 from repro.simnet.noise import NoiseModel
@@ -393,20 +391,29 @@ def steady_replay(trace: "CompiledTrace",
     nranks = trace.nranks
     warmup, period, repeats = info.warmup, info.period, info.repeats
     sends = info.sends_per_period
-    eager = trace._send_eager
-    srank = trace._send_rank
 
     clock = [0.0] * nranks
     comm = [0.0] * nranks
     comp = [0.0] * nranks
     ready_t = [0.0] * trace.n_messages
     arrive = [0.0] * trace.n_messages
-    events = iter(zip(trace._program, trace._base_list))
+    # Send-slot tables, filled per window with the slots its events touch
+    # (every slot a snapshot reads was sent in a replayed window).
+    eager = [False] * trace.n_messages
+    srank = [0] * trace.n_messages
     position = 0
 
     def replay_until(target: int) -> None:
         nonlocal position
-        _replay_events(islice(events, target - position), nranks,
+        slots = trace.event_slot[position:target]
+        slots = slots[slots >= 0]
+        if len(slots):
+            lo, hi = int(slots.min()), int(slots.max()) + 1
+            eager[lo:hi] = trace._send_eager_arr[lo:hi].tolist()
+            srank[lo:hi] = trace._send_rank_arr[lo:hi].tolist()
+        events = zip(trace.events(position, target),
+                     trace._base[position:target].tolist())
+        _replay_events(events, nranks,
                        clock, comm, comp, ready_t, arrive, eager, srank)
         position = target
 
@@ -437,7 +444,6 @@ def steady_replay(trace: "CompiledTrace",
     lam, dcomm, dcomp = keys[-1]
     skipped = repeats - locked_at
     if skipped > 0:
-        target = warmup + repeats * period
         live = snap[3]
         live_target = analysis.live_at(repeats)
         if not np.array_equal(live_target, live + skipped * sends):
@@ -454,27 +460,8 @@ def steady_replay(trace: "CompiledTrace",
         offset = skipped * sends
         for s in live:
             ready_t[s + offset] = ready_t[s] + shift
-            if eager[s + offset]:
+            if trace._send_eager_arr[s + offset]:
                 arrive[s + offset] = arrive[s] + shift
-        position = target
-        drain = zip(trace._program[target:], trace._base_list[target:])
-        _replay_events(drain, nranks, clock, comm, comp,
-                       ready_t, arrive, eager, srank)
-    else:
-        replay_until(n)
-
-    ranks = [RankResult(
-        rank=rank,
-        finish_time=clock[rank],
-        return_value=trace._return_values[rank],
-        compute_time=comp[rank],
-        comm_time=comm[rank],
-        messages_sent=trace._messages_sent[rank],
-        bytes_sent=trace._bytes_sent[rank],
-        messages_received=trace._messages_received[rank],
-        bytes_received=trace._bytes_received[rank],
-    ) for rank in range(nranks)]
-    elapsed = max((r.finish_time for r in ranks), default=0.0)
-    return SimulationResult(nranks=nranks, ranks=ranks,
-                            elapsed_time=elapsed,
-                            traffic=_copy_traffic(trace._traffic))
+        position = warmup + repeats * period
+    replay_until(n)
+    return trace.simulation_result(clock, comp, comm)

@@ -49,7 +49,7 @@ wildcard receives, non-blocking requests and clock reads raise
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -122,14 +122,14 @@ class _BatchSchedule:
     """
 
     def __init__(self, trace: "CompiledTrace"):
-        program = trace._program
         nranks = trace.nranks
-        eager = trace._send_eager
-        srank = trace._send_rank
+        n_events = trace.n_events
+        eager = trace._send_eager_arr.tolist()
+        srank = trace._send_rank_arr.tolist()
 
         # Rank-major layout of the comm-increment matrix.
         n_comm = [0] * nranks
-        for kind, a, b, _aux in program:
+        for kind, a, b, _aux in trace.events():
             if kind == EV_SEND or kind == EV_MATCH:
                 n_comm[a] += 1
                 if kind == EV_MATCH and not eager[b]:
@@ -154,7 +154,7 @@ class _BatchSchedule:
                 buckets[(level, key)] = wave
             return wave
 
-        for ev, (kind, a, b, aux) in enumerate(program):
+        for ev, (kind, a, b, aux) in enumerate(trace.events()):
             if kind == EV_COMPUTE:
                 level = last[a] + 1
                 last[a] = level
@@ -232,7 +232,7 @@ class _BatchSchedule:
 
         # Packed event permutation: kind-major streams in wave order, so
         # every wave's duration rows form one contiguous slice.
-        pack_of_ev = np.empty(max(len(program), 1), dtype=np.intp)
+        pack_of_ev = np.empty(max(n_events, 1), dtype=np.intp)
         offsets = {}
         pos = 0
         for key in range(6):
@@ -291,8 +291,8 @@ class _BatchSchedule:
         self.n_comm = n_comm
         self.max_comm_run = max(n_comm) if n_comm else 0
 
-        self.pack_of_ev = pack_of_ev[:len(program)]
-        base_pack = np.zeros(len(program))
+        self.pack_of_ev = pack_of_ev[:n_events]
+        base_pack = np.zeros(n_events)
         base_pack[self.pack_of_ev] = trace._base
         self.base_pack = base_pack
         self.draw_pack = self.pack_of_ev[trace._draw_index]
@@ -357,21 +357,9 @@ class BatchReplayResult:
 
     def sample(self, index: int) -> SimulationResult:
         """Materialise sample ``index`` as a full simulation result."""
-        trace = self._trace
-        ranks = [RankResult(
-            rank=rank,
-            finish_time=float(self.finish[rank, index]),
-            return_value=trace._return_values[rank],
-            compute_time=float(self.compute[rank, index]),
-            comm_time=float(self.comm[rank, index]),
-            messages_sent=trace._messages_sent[rank],
-            bytes_sent=trace._bytes_sent[rank],
-            messages_received=trace._messages_received[rank],
-            bytes_received=trace._bytes_received[rank],
-        ) for rank in range(trace.nranks)]
-        return SimulationResult(nranks=trace.nranks, ranks=ranks,
-                                elapsed_time=float(self.elapsed[index]),
-                                traffic=_copy_traffic(trace._traffic))
+        return self._trace.simulation_result(
+            self.finish[:, index].tolist(), self.compute[:, index].tolist(),
+            self.comm[:, index].tolist())
 
     def summary(self) -> dict[str, float]:
         """Mean / std / CI of the elapsed time over all samples."""
@@ -419,11 +407,13 @@ def _replay_events(events: Iterable, nranks: int,
                    eager: list[bool], srank: list[int]) -> None:
     """Advance the scalar max-plus state over ``events`` in place.
 
-    ``events`` yields ``((kind, a, b, aux), duration)`` pairs; the state
-    lists are mutated exactly as :meth:`CompiledTrace.replay`'s historical
-    inline loop did — this helper *is* that loop, shared with the
-    steady-state tier (:mod:`repro.simmpi.steady`) so prefix/validation/
-    drain segments replay with bit-identical floating-point arithmetic.
+    ``events`` yields ``((kind, a, b, aux), duration)`` pairs, as
+    ``zip(trace.events(start, stop), durations)`` builds them.  This is
+    the one scalar max-plus loop: :meth:`CompiledTrace.replay` runs it
+    over the whole trace and the steady-state tier
+    (:mod:`repro.simmpi.steady`) over its warm-up, lock-in and drain
+    windows, so every segment replays with the same floating-point
+    arithmetic, in the engine's order.
     """
     for (kind, a, b, aux), d in events:
         if kind == EV_COMPUTE:
@@ -526,46 +516,40 @@ class CompiledTrace:
         self._traffic = traffic
         self._return_values = return_values
         self._schedule: _BatchSchedule | None = None
-        # Native-object mirrors of the hot columns, built lazily: the
-        # scalar replay loop is ~2x faster iterating Python tuples/lists
-        # than numpy scalars, but the persistent/tiled representation
-        # stays compact until a replay actually needs them.
-        self._program_cache: list[tuple[int, int, int, float]] | None = None
-        self._base_list_cache: list[float] | None = None
-        self._send_eager_cache: list[bool] | None = None
-        self._send_rank_cache: list[int] | None = None
 
     # ------------------------------------------------------------------
 
-    @property
-    def _program(self) -> list[tuple[int, int, int, float]]:
-        cached = self._program_cache
-        if cached is None:
-            cached = self._program_cache = list(zip(
-                self.event_kind.tolist(), self.event_rank.tolist(),
-                self.event_slot.tolist(), self.event_aux.tolist()))
-        return cached
+    def events(self, start: int = 0, stop: int | None = None
+               ) -> Iterator[tuple[int, int, int, float]]:
+        """``(kind, a, b, aux)`` tuples of events ``[start, stop)``.
 
-    @property
-    def _base_list(self) -> list[float]:
-        cached = self._base_list_cache
-        if cached is None:
-            cached = self._base_list_cache = self._base.tolist()
-        return cached
+        The scalar loops run ~2x faster over Python scalars than over
+        numpy ones, so each call converts just its window's columns; the
+        trace itself keeps only the compact numpy form.
+        """
+        window = slice(start, stop)
+        return zip(self.event_kind[window].tolist(),
+                   self.event_rank[window].tolist(),
+                   self.event_slot[window].tolist(),
+                   self.event_aux[window].tolist())
 
-    @property
-    def _send_eager(self) -> list[bool]:
-        cached = self._send_eager_cache
-        if cached is None:
-            cached = self._send_eager_cache = self._send_eager_arr.tolist()
-        return cached
-
-    @property
-    def _send_rank(self) -> list[int]:
-        cached = self._send_rank_cache
-        if cached is None:
-            cached = self._send_rank_cache = self._send_rank_arr.tolist()
-        return cached
+    def simulation_result(self, finish: list[float], compute: list[float],
+                          comm: list[float]) -> SimulationResult:
+        """Package per-rank finish/compute/comm times as a full result."""
+        ranks = [RankResult(
+            rank=rank,
+            finish_time=finish[rank],
+            return_value=self._return_values[rank],
+            compute_time=compute[rank],
+            comm_time=comm[rank],
+            messages_sent=self._messages_sent[rank],
+            bytes_sent=self._bytes_sent[rank],
+            messages_received=self._messages_received[rank],
+            bytes_received=self._bytes_received[rank],
+        ) for rank in range(self.nranks)]
+        return SimulationResult(nranks=self.nranks, ranks=ranks,
+                                elapsed_time=max(finish, default=0.0),
+                                traffic=_copy_traffic(self._traffic))
 
     @property
     def n_events(self) -> int:
@@ -579,9 +563,8 @@ class CompiledTrace:
     def nbytes(self) -> int:
         """On-heap size of the recorded pattern columns (bytes).
 
-        Counts the compact numpy columns only — the lazily built Python
-        mirrors the scalar replay uses are excluded, as are the per-rank
-        statistics lists (O(nranks), not O(events)).
+        Counts the compact numpy columns only — the per-rank statistics
+        lists (O(nranks), not O(events)) are excluded.
         """
         return int(sum(column.nbytes for column in (
             self.event_kind, self.event_rank, self.event_slot,
@@ -610,7 +593,7 @@ class CompiledTrace:
     def _durations(self, noise: NoiseModel | None) -> list[float]:
         """Per-event durations with ``noise`` applied in engine draw order."""
         if noise is None or noise.is_disabled():
-            return self._base_list
+            return self._base.tolist()
         durs = self._base.copy()
         if len(self._draw_index):
             durs[self._draw_index] = noise.perturb_batch(
@@ -635,28 +618,14 @@ class CompiledTrace:
         clock = [0.0] * nranks
         comm = [0.0] * nranks
         comp = [0.0] * nranks
-        ready_t = [0.0] * len(self._send_rank)
-        arrive = [0.0] * len(self._send_rank)
+        ready_t = [0.0] * self.n_messages
+        arrive = [0.0] * self.n_messages
 
-        _replay_events(zip(self._program, durs), nranks,
+        _replay_events(zip(self.events(), durs), nranks,
                        clock, comm, comp, ready_t, arrive,
-                       self._send_eager, self._send_rank)
-
-        ranks = [RankResult(
-            rank=rank,
-            finish_time=clock[rank],
-            return_value=self._return_values[rank],
-            compute_time=comp[rank],
-            comm_time=comm[rank],
-            messages_sent=self._messages_sent[rank],
-            bytes_sent=self._bytes_sent[rank],
-            messages_received=self._messages_received[rank],
-            bytes_received=self._bytes_received[rank],
-        ) for rank in range(nranks)]
-        elapsed = max((r.finish_time for r in ranks), default=0.0)
-        return SimulationResult(nranks=nranks, ranks=ranks,
-                                elapsed_time=elapsed,
-                                traffic=_copy_traffic(self._traffic))
+                       self._send_eager_arr.tolist(),
+                       self._send_rank_arr.tolist())
+        return self.simulation_result(clock, comp, comm)
 
     # ------------------------------------------------------------------
 
@@ -674,7 +643,7 @@ class CompiledTrace:
         :meth:`_durations` would produce for ``noise.reseeded(seeds[s])``.
         """
         schedule = self.batch_schedule()
-        durs = np.empty((len(self._program), len(seeds)))
+        durs = np.empty((self.n_events, len(seeds)))
         durs[:] = schedule.base_pack[:, None]
         if (noise is not None and not noise.is_disabled()
                 and len(self._draw_index)):

@@ -304,8 +304,10 @@ class SimulationPlan:
         self.last_execution: str | None = None
         #: Why the steady tier refused the most recent run, if it did.
         self.last_steady_refusal: str | None = None
-        #: Optional :class:`~repro.simmpi.tracecache.TraceDiskCache`
-        #: consulted (and filled) by :meth:`compile_trace`.
+        #: Optional trace store consulted (and filled) by
+        #: :meth:`compile_trace`: a
+        #: :class:`~repro.simmpi.tracecache.TraceDiskCache` or a
+        #: :class:`~repro.simmpi.tracecache.TraceMemory`.
         self.trace_cache = trace_cache
         #: How the most recent :meth:`compile_trace` produced its trace
         #: (None until a trace has been compiled).

@@ -10,6 +10,8 @@ on both the noise-free and noisy paths, across randomly drawn decks,
 processor arrays and iteration counts.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from repro.errors import TraceError
 from repro.machines.presets import get_machine
 from repro.simmpi.capture import CaptureInfo, collectives_per_period, tile_trace
-from repro.simmpi.steady import MIN_REPEATS, detect_period
+from repro.simmpi.steady import MIN_REPEATS, detect_period, steady_replay
 from repro.simmpi.trace import TraceRecorder
 from repro.simnet.noise import NoiseModel
 from repro.sweep3d.driver import SimulationPlan
@@ -132,6 +134,36 @@ def test_steady_scaling_deck_shape_captures_and_runs_steady(machine):
     engine = make_plan(machine, deck, px, py).run_engine()
     assert result_key(result.simulation) == result_key(engine.simulation)
     assert result.rank_summaries == engine.rank_summaries
+
+
+# steady-scaling's deck at 100 iterations: ~200k events, enough for a
+# per-event Python copy of the trace to dwarf its numpy columns.
+LONG_STEADY_SCALING_DECK = Sweep3DInput(it=400, jt=400, kt=100, mk=10,
+                                        mmi=3, sn=6, max_iterations=100)
+
+
+def test_replayed_trace_keeps_no_per_event_lists(machine):
+    plan = make_plan(machine, LONG_STEADY_SCALING_DECK, 2, 2)
+    plan.run()
+    assert plan.last_execution == "steady"
+    trace = plan.compile_trace()
+    noise = NoiseModel(seed=5)
+    trace.replay(noise)
+    trace.replay_batch([1, 2], noise)
+    mirrors = [name for name, value in vars(trace).items()
+               if isinstance(value, list) and len(value) >= trace.n_events]
+    assert mirrors == []
+
+
+def test_steady_replay_peak_memory_stays_below_twice_the_trace(machine):
+    trace = make_plan(machine, LONG_STEADY_SCALING_DECK, 2, 2).compile_trace()
+    tracemalloc.start()
+    try:
+        steady_replay(trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * trace.nbytes, (peak, trace.nbytes)
 
 
 def test_steady_tier_accepts_tiled_trace(machine):

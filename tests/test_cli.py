@@ -307,6 +307,29 @@ class TestStudyCli:
         assert (out_dir / "table2.csv").exists()
         assert not (out_dir / "figure8.csv").exists()
 
+    def test_run_out_of_memory_is_one_line_and_keeps_finished_studies(
+            self, capsys, tmp_path, monkeypatch):
+        import dataclasses
+        import json
+
+        from repro.experiments import study
+
+        def exhaust(spec, context):
+            raise MemoryError
+
+        monkeypatch.setitem(study._STUDIES, "figure8", dataclasses.replace(
+            study.get_study("figure8"), execute=exhaust))
+        out_dir = tmp_path / "artifacts"
+        assert main(["run", "table2", "figure8", "--smoke",
+                     "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().out.splitlines()[-1] \
+            == "run failed: out of memory"
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert [e["study"] for e in manifest["studies"]] == ["table2"]
+        assert (out_dir / "table2.json").exists()
+        assert (out_dir / "table2.csv").exists()
+        assert not (out_dir / "figure8.csv").exists()
+
     def test_run_without_studies_errors(self, capsys):
         assert main(["run"]) == 2
         assert "nothing to run" in capsys.readouterr().out
